@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional
 
 import numpy as np
@@ -202,16 +201,11 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
-    indices = list(range(args.trials))
-    with ThreadPoolExecutor(max_workers=max(1, args.workers)) as pool:
-        results = list(
-            pool.map(
-                lambda i: run_denial_trial(
-                    d=args.d, n=args.n, seed=seed, tolerance=args.tolerance, index=i
-                ),
-                indices,
-            )
-        )
+    # Serial on purpose: the trials are GIL-bound, so threads only slow them.
+    results = [
+        run_denial_trial(d=args.d, n=args.n, seed=seed, tolerance=args.tolerance, index=i)
+        for i in range(args.trials)
+    ]
 
     print(f"{'trial':>5}  {'max_abs_diff':>12}  {'converged':>9}  {'passed':>6}")
     for res in results:
@@ -318,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help=f"RNG seed (default: ${SEED_ENV_VAR} or 0)")
     experiment.add_argument("--tolerance", type=float, default=5e-3,
                             help="pass threshold on max parameter deviation")
-    experiment.add_argument("--workers", type=int, default=4, help="worker threads")
     experiment.add_argument("--out", default=None, help="optional JSON results path")
     experiment.set_defaults(func=cmd_experiment)
 

@@ -21,7 +21,6 @@ import numpy as np
 from .errors import (
     CertificateTampered,
     DeniableFitError,
-    DimensionMismatch,
     InvalidArguments,
     LengthMismatch,
     NonPositiveSupport,
@@ -278,23 +277,33 @@ class DenialCertificate:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "DenialCertificate":
+        """Load a certificate, raising InvalidArguments when it is malformed."""
         schema = payload.get("schema")
         if schema != CERT_SCHEMA:
             raise InvalidArguments(f"unsupported certificate schema {schema!r}")
-        decoy = Dataset(
-            inputs=np.asarray(payload["decoy"]["inputs"], dtype=float),
-            responses=np.asarray(payload["decoy"]["responses"], dtype=float),
-        )
-        return cls(
-            decoy=decoy,
-            norms=tuple(CraftedNorm.from_dict(d) for d in payload["norms"]),
-            residual=np.asarray(payload["residual"], dtype=float),
-            optimizer_config=OptimizerConfig.from_dict(payload["optimizer"]),
-            model_descriptor=dict(payload["model"]),
-            rank_condition_ok=tuple(payload["rank_condition_ok"]),
-            seed=payload.get("seed"),
-            zero_tol=float(payload.get("tolerances", {}).get("zero_residual", ZERO_RESIDUAL_TOL)),
-        )
+        try:
+            decoy = Dataset(
+                inputs=np.asarray(payload["decoy"]["inputs"], dtype=float),
+                responses=np.asarray(payload["decoy"]["responses"], dtype=float),
+            )
+            cert = cls(
+                decoy=decoy,
+                norms=tuple(CraftedNorm.from_dict(d) for d in payload["norms"]),
+                residual=np.asarray(payload["residual"], dtype=float),
+                optimizer_config=OptimizerConfig.from_dict(payload["optimizer"]),
+                model_descriptor=dict(payload["model"]),
+                rank_condition_ok=tuple(payload["rank_condition_ok"]),
+                seed=payload.get("seed"),
+                zero_tol=float(payload.get("tolerances", {}).get("zero_residual", ZERO_RESIDUAL_TOL)),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidArguments(f"malformed certificate: {exc!r}") from None
+        arrays = [decoy.inputs, decoy.responses, cert.residual]
+        for nm in cert.norms:
+            arrays += [nm.projector.rows, nm.projector.source_error, nm.w1, nm.alpha]
+        if not all(np.all(np.isfinite(a)) for a in arrays):
+            raise InvalidArguments("certificate holds a NaN or infinite value")
+        return cert
 
     def to_json(self, path) -> None:
         with open(path, "w") as fh:
@@ -450,18 +459,15 @@ def verify_denial(
 
     First recomputes the residuals from the certificate's own decoy and
     model parameters; any mismatch with the stored residual (or with the
-    norms' anchoring vectors) beyond 1e-9 raises CertificateTampered.  Then
+    norms' anchoring vectors) beyond 1e-9 raises CertificateTampered, as
+    does a stored B that is not orthonormal or does not annihilate e.  Then
     refits under the certified norms from the certified start point and
     reports the max per-coordinate deviation from p*.
     """
     if tolerance <= 0.0:
         raise InvalidArguments("tolerance must be positive")
     p_star = np.asarray(p_star, dtype=float).reshape(-1)
-    if model.param_dim != p_star.size:
-        raise DimensionMismatch(
-            f"model expects {model.param_dim} parameters, got {p_star.size}"
-        )
-    E = residuals(model, certificate.decoy, p_star)
+    E = residuals(model, certificate.decoy, p_star)  # raises DimensionMismatch on a wrong p*
     if E.shape != certificate.residual.shape:
         raise CertificateTampered("stored residual has the wrong shape")
     if float(np.max(np.abs(E - certificate.residual))) > INTEGRITY_TOL:
@@ -470,6 +476,10 @@ def verify_denial(
         anchor = nm.projector.source_error
         if anchor.size != E.shape[0] or float(np.max(np.abs(anchor - E[:, j]))) > INTEGRITY_TOL:
             raise CertificateTampered(f"norm {j} is not anchored on the residual")
+        B = nm.projector.rows
+        annihilates = np.max(np.abs(B @ anchor)) <= INTEGRITY_TOL * max(1.0, np.linalg.norm(anchor))
+        if not annihilates or np.max(np.abs(B @ B.T - np.eye(len(B)))) > INTEGRITY_TOL:
+            raise CertificateTampered(f"norm {j}: stored B is not an orthonormal annihilator of e")
 
     result: FittedModel = fit(model, certificate.decoy, certificate.loss_spec(), certificate.optimizer_config)
     diff = float(np.max(np.abs(result.params - p_star)))
@@ -580,8 +590,7 @@ def run_denial_trial(
     X = substream(trial_seed, "train-inputs").integers(1, 9, size=(n, m)).astype(float)
     noise = substream(trial_seed, "train-noise").exponential(1.0 / 5.0, size=n)
     model = linear_regression_model(m)
-    y = np.array([model.predict(x, p_true)[0] for x in X]) + noise
-    train = Dataset(inputs=X, responses=y[:, None])
+    train = Dataset(inputs=X, responses=model.predict_all(X, p_true) + noise[:, None])
 
     honest = fit(
         model,

@@ -105,12 +105,12 @@ class Dataset:
 
 @dataclass(eq=False)
 class ParamModel:
-    """A model f: R^m x R^d -> R^k with optional analytic Jacobian.
+    """A model f: R^m x R^d -> R^k, evaluated on all input rows at once.
 
-    ``evaluator(x, p)`` returns the k outputs for one input row; it must be
-    reentrant (no shared mutable state) so fits can run concurrently.
-    ``analytic_jacobian(x, p)`` returns the k x d matrix of parameter
-    derivatives at one input row.
+    ``evaluator(X, p)`` maps the (n, m) input matrix to the (n, k) matrix
+    of outputs; it must be reentrant (no shared mutable state).
+    ``analytic_jacobian(X, p)`` returns the (n, k, d) array of parameter
+    derivatives, one k x d block per input row.
     """
 
     param_dim: int
@@ -120,19 +120,17 @@ class ParamModel:
     analytic_jacobian: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     family: Optional[str] = None
 
-    def predict(self, x, p) -> np.ndarray:
+    def predict_all(self, X, p) -> np.ndarray:
+        """The (n, k) outputs for the rows of ``X``."""
         if self.evaluator is None:
             raise NoEvaluator("model has no evaluator")
-        out = np.atleast_1d(np.asarray(self.evaluator(np.asarray(x, dtype=float), p), dtype=float))
-        if out.size != self.output_dim:
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        out = np.asarray(self.evaluator(X, p), dtype=float)
+        if out.shape != (X.shape[0], self.output_dim):
             raise DimensionMismatch(
-                f"evaluator produced {out.size} outputs, expected {self.output_dim}"
+                f"evaluator produced shape {out.shape}, expected {(X.shape[0], self.output_dim)}"
             )
         return out
-
-    def predict_all(self, X, p) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.stack([self.predict(x, p) for x in X])
 
     def descriptor(self) -> dict:
         return {
@@ -149,12 +147,13 @@ def linear_regression_model(input_dim: int) -> ParamModel:
         raise InvalidArguments("need at least one input attribute")
     d = input_dim + 1
 
-    def evaluate(x: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return np.array([p[0] + p[1:] @ x])
+    def evaluate(X: np.ndarray, p: np.ndarray) -> np.ndarray:
+        # vecdot rounds like the per-row dot p[1:] @ x; gemv (X @ p[1:]) does not.
+        return (p[0] + np.vecdot(X, p[1:]))[:, None]
 
-    def jac(x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    def jac(X: np.ndarray, p: np.ndarray) -> np.ndarray:
         # Derivatives do not depend on p for an affine model.
-        return np.concatenate(([1.0], x))[None, :]
+        return np.concatenate((np.ones((X.shape[0], 1)), X), axis=1)[:, None, :]
 
     return ParamModel(
         param_dim=d,
@@ -203,21 +202,18 @@ def jacobian(
         raise DimensionMismatch("dataset inputs do not match the model")
 
     if model.analytic_jacobian is not None:
-        M = np.stack(
-            [np.asarray(model.analytic_jacobian(x, p), dtype=float)[output_index]
-             for x in data.inputs]
-        )
+        J = np.asarray(model.analytic_jacobian(data.inputs, p), dtype=float)
+        if J.shape != (data.n, model.output_dim, p.size):
+            raise DimensionMismatch(f"analytic Jacobian has shape {J.shape}, expected (n, k, d)")
+        M = J[:, output_index, :]
     else:
-        if model.evaluator is None:
-            raise NoEvaluator("model has neither evaluator nor analytic Jacobian")
-        base = np.array([model.predict(x, p)[output_index] for x in data.inputs])
+        base = model.predict_all(data.inputs, p)[:, output_index]
         M = np.empty((data.n, p.size))
         for l in range(p.size):
             h = step if step is not None else FD_STEP * max(1.0, abs(p[l]))
             shifted = p.copy()
             shifted[l] += h
-            bumped = np.array([model.predict(x, shifted)[output_index] for x in data.inputs])
-            M[:, l] = (bumped - base) / h
+            M[:, l] = (model.predict_all(data.inputs, shifted)[:, output_index] - base) / h
     if not np.all(np.isfinite(M)):
         raise NonFiniteValue("model produced NaN or infinity during differentiation")
     return M

@@ -80,6 +80,17 @@ class LossSpec:
         E = np.asarray(E, dtype=float)
         if E.ndim == 1:
             E = E[:, None]
+        # The crafted kinds come first: they are the fits' hot path.
+        if self.kind == LOSS_CRAFTED:
+            if self.norm is None:
+                raise InvalidArguments("crafted loss needs a norm")
+            if E.shape[1] != 1:
+                raise DimensionMismatch("crafted loss applies to single-output residuals")
+            return crafted_norm_value(self.norm, E[:, 0])
+        if self.kind == LOSS_CRAFTED_MATRIX:
+            if not self.norms:
+                raise InvalidArguments("crafted_matrix loss needs one norm per column")
+            return crafted_matrix_norm(self.norms, E)
         flat = E.reshape(-1)
         if self.kind == LOSS_TWO_NORM:
             return float(np.linalg.norm(flat))
@@ -91,16 +102,6 @@ class LossSpec:
             return float(np.sqrt(float(flat @ flat) / flat.size))
         if self.kind == LOSS_MAE:
             return float(np.abs(flat).mean())
-        if self.kind == LOSS_CRAFTED:
-            if self.norm is None:
-                raise InvalidArguments("crafted loss needs a norm")
-            if E.shape[1] != 1:
-                raise DimensionMismatch("crafted loss applies to single-output residuals")
-            return crafted_norm_value(self.norm, E[:, 0])
-        if self.kind == LOSS_CRAFTED_MATRIX:
-            if not self.norms:
-                raise InvalidArguments("crafted_matrix loss needs one norm per column")
-            return crafted_matrix_norm(self.norms, E)
         raise InvalidArguments(f"unknown loss kind {self.kind!r}")
 
 

@@ -62,14 +62,17 @@ def two_output_linear_model(input_dim: int) -> ParamModel:
     """
     d = input_dim + 1
 
-    def evaluate(x, p):
-        return np.array([p[0] + p[1:] @ x, p[0] + p[1:] @ x[::-1]])
+    def evaluate(X, p):
+        return np.stack(
+            [p[0] + np.vecdot(X, p[1:]), p[0] + np.vecdot(X[:, ::-1], p[1:])], axis=1
+        )
 
-    def jac(x, p):
-        return np.stack([
-            np.concatenate(([1.0], x)),
-            np.concatenate(([1.0], x[::-1])),
-        ])
+    def jac(X, p):
+        ones = np.ones((X.shape[0], 1))
+        return np.stack(
+            [np.concatenate((ones, X), axis=1), np.concatenate((ones, X[:, ::-1]), axis=1)],
+            axis=1,
+        )
 
     return ParamModel(
         param_dim=d,

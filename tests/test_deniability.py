@@ -271,6 +271,23 @@ class TestVerifyDenial:
         with pytest.raises(CertificateTampered):
             verify_denial(DenialCertificate.from_dict(payload), model, p_star)
 
+    @pytest.mark.parametrize("tamper", ["random", "doubled"])
+    def test_tampered_projector_detected(self, rng, tamper):
+        # each fails one check: a random orthonormal B does not annihilate e,
+        # a doubled B has rows of norm 2
+        model, p_star, decoy = small_problem(rng)
+        cert = craft_denial(model, p_star, decoy, seed=1)
+        payload = cert.to_dict()
+        B = np.asarray(payload["norms"][0]["b_rows"])
+        if tamper == "random":
+            B = np.linalg.qr(np.random.default_rng(3).standard_normal((10, 9)))[0].T
+        else:
+            B = 2.0 * B
+        payload["norms"][0]["b_rows"] = B.tolist()
+        loaded = DenialCertificate.from_dict(payload)
+        with pytest.raises(CertificateTampered):
+            verify_denial(loaded, model, p_star)
+
     def test_wrong_parameters_detected(self, rng):
         model, p_star, decoy = small_problem(rng)
         cert = craft_denial(model, p_star, decoy, seed=1)
@@ -284,6 +301,22 @@ class TestVerifyDenial:
         cert = craft_denial(model, p_star, decoy, seed=8)
         report = verify_denial(cert, model, p_star, tolerance=5e-3)
         assert report.passed
+
+
+class TestCertificateLoading:
+    def test_missing_key_rejected(self, rng):
+        model, p_star, decoy = small_problem(rng)
+        payload = craft_denial(model, p_star, decoy, seed=1).to_dict()
+        del payload["residual"]
+        with pytest.raises(InvalidArguments):
+            DenialCertificate.from_dict(payload)
+
+    def test_non_finite_array_rejected(self, rng):
+        model, p_star, decoy = small_problem(rng)
+        payload = craft_denial(model, p_star, decoy, seed=1).to_dict()
+        payload["decoy"]["inputs"][2][1] = float("nan")
+        with pytest.raises(InvalidArguments):
+            DenialCertificate.from_dict(payload)
 
 
 class TestAdversaryRecover:

@@ -15,6 +15,9 @@ from deniable_fit import (
     residuals,
     serialized_bit_length,
 )
+from deniable_fit.models import FD_STEP
+
+from conftest import two_output_linear_model
 
 
 def linear_without_jacobian(input_dim):
@@ -31,8 +34,8 @@ def linear_without_jacobian(input_dim):
 class TestLinearModel:
     def test_prediction(self):
         model = linear_regression_model(2)
-        out = model.predict([2.0, 3.0], np.array([1.0, 10.0, 100.0]))
-        assert_allclose(out, [321.0])
+        out = model.predict_all([[2.0, 3.0]], np.array([1.0, 10.0, 100.0]))
+        assert_allclose(out, [[321.0]])
 
     def test_residual_reconstruction(self, rng):
         model = linear_regression_model(4)
@@ -80,20 +83,21 @@ class TestFiniteDifferences:
         # f(x, p) = p1^2 with one sample: derivative 2 p1
         model = ParamModel(
             param_dim=1, input_dim=1, output_dim=1,
-            evaluator=lambda x, p: np.array([p[0] ** 2]),
+            evaluator=lambda X, p: np.full((len(X), 1), p[0] ** 2),
         )
         data = Dataset(np.array([[1.0]]), np.array([[0.0]]))
         M = jacobian(model, data, np.array([3.0]))
         assert M == pytest.approx(np.array([[6.0]]), abs=1e-4)
 
     def test_quadratic_model_fd_accuracy(self, rng):
-        def evaluate(x, p):
-            z = p[0] + p[1:] @ x
-            return np.array([z * z])
+        def evaluate(X, p):
+            z = p[0] + np.vecdot(X, p[1:])
+            return (z * z)[:, None]
 
-        def jac(x, p):
-            z = p[0] + p[1:] @ x
-            return (2.0 * z * np.concatenate(([1.0], x)))[None, :]
+        def jac(X, p):
+            z = p[0] + np.vecdot(X, p[1:])
+            ones = np.ones((X.shape[0], 1))
+            return (2.0 * z[:, None] * np.concatenate((ones, X), axis=1))[:, None, :]
 
         numeric = ParamModel(param_dim=4, input_dim=3, output_dim=1, evaluator=evaluate)
         analytic = ParamModel(param_dim=4, input_dim=3, output_dim=1,
@@ -116,11 +120,71 @@ class TestFiniteDifferences:
     def test_non_finite_evaluation(self):
         model = ParamModel(
             param_dim=1, input_dim=1, output_dim=1,
-            evaluator=lambda x, p: np.array([np.nan if p[0] != 0.0 else 1.0]),
+            evaluator=lambda X, p: np.full((len(X), 1), np.nan if p[0] != 0.0 else 1.0),
         )
         data = Dataset(np.array([[1.0]]), np.array([[0.0]]))
         with pytest.raises(NonFiniteValue):
             jacobian(model, data, np.zeros(1))
+
+
+def _random_inputs(rng, n, m, integer):
+    if integer:
+        return rng.integers(-9, 10, size=(n, m)).astype(float)
+    return rng.normal(size=(n, m)) * 10.0 ** rng.integers(-3, 4)
+
+
+class TestBatchedMatchesRowLoop:
+    """Batched evaluation must round exactly like the per-row loops it replaced."""
+
+    @pytest.mark.parametrize("integer", [False, True])
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 20])
+    def test_linear_evaluate_and_jacobian(self, rng, m, integer):
+        model = linear_regression_model(m)
+        for n in (2, 7, 31, 400):
+            X = _random_inputs(rng, n, m, integer)
+            p = rng.uniform(-6.0, 6.0, size=m + 1)
+            rows = np.array([[p[0] + p[1:] @ x] for x in X])
+            assert np.array_equal(model.predict_all(X, p), rows)
+            row_jac = np.stack([np.concatenate(([1.0], x))[None, :] for x in X])
+            assert np.array_equal(model.analytic_jacobian(X, p), row_jac)
+
+    @pytest.mark.parametrize("integer", [False, True])
+    def test_two_readout_finite_differences(self, rng, integer):
+        ref = two_output_linear_model(4)
+        blind = ParamModel(param_dim=5, input_dim=4, output_dim=2, evaluator=ref.evaluator)
+
+        def row(x, p):
+            return np.array([p[0] + p[1:] @ x, p[0] + p[1:] @ x[::-1]])
+
+        for n in (3, 10, 57):
+            X = _random_inputs(rng, n, 4, integer)
+            p = rng.uniform(-6.0, 6.0, size=5)
+            data = Dataset(X, np.zeros((n, 2)))
+            for j in range(2):
+                base = np.array([row(x, p)[j] for x in X])
+                expected = np.empty((n, 5))
+                for l in range(5):
+                    h = FD_STEP * max(1.0, abs(p[l]))
+                    shifted = p.copy()
+                    shifted[l] += h
+                    expected[:, l] = (np.array([row(x, shifted)[j] for x in X]) - base) / h
+                assert np.array_equal(jacobian(blind, data, p, output_index=j), expected)
+
+
+class TestShapeChecks:
+    def test_evaluator_output_shape(self):
+        model = ParamModel(param_dim=1, input_dim=1, output_dim=1,
+                           evaluator=lambda X, p: np.full(len(X), p[0]))
+        with pytest.raises(DimensionMismatch):
+            model.predict_all(np.ones((3, 1)), np.ones(1))
+
+    def test_analytic_jacobian_shape(self):
+        model = ParamModel(param_dim=1, input_dim=1, output_dim=1,
+                           evaluator=lambda X, p: np.full((len(X), 1), p[0]),
+                           analytic_jacobian=lambda X, p: np.ones((len(X), 1)))
+        data = Dataset(np.ones((3, 1)), np.zeros((3, 1)))
+        with pytest.raises(DimensionMismatch):
+            jacobian(model, data, np.ones(1))
 
 
 class TestBitLength:
