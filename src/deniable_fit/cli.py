@@ -44,7 +44,7 @@ from .errors import (
     RankConditionViolated,
     ZeroResidual,
 )
-from .models import Dataset, ParamModel, linear_regression_model, serialized_bit_length
+from .models import Dataset, ParamModel, linear_regression_model
 from .norms import VARIANT_EUCLIDEAN, VARIANT_ONE_NORM
 from .training import LossSpec, OptimizerConfig, fit
 
@@ -201,6 +201,8 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
+    if args.trials < 1:
+        raise InvalidArguments(f"--trials must be at least 1, got {args.trials}")
     # Serial on purpose: the trials are GIL-bound, so threads only slow them.
     results = [
         run_denial_trial(d=args.d, n=args.n, seed=seed, tolerance=args.tolerance, index=i)
@@ -214,7 +216,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             f"{'yes' if res.converged else 'no':>9}  {'yes' if res.passed else 'no':>6}"
         )
     passed = sum(1 for r in results if r.passed)
-    rate = passed / len(results) if results else 0.0
+    rate = passed / len(results)
     print(f"pass rate: {passed}/{len(results)} = {rate:.2f} (tolerance {args.tolerance:g})")
 
     first = results[0]

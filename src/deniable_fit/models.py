@@ -103,6 +103,13 @@ class Dataset:
         return cls(inputs=data[:, :m], responses=data[:, m:])
 
 
+def _evaluate(evaluator: Callable, X: np.ndarray, p: np.ndarray, shape: tuple) -> np.ndarray:
+    out = np.asarray(evaluator(X, p), dtype=float)
+    if out.shape != shape:
+        raise DimensionMismatch(f"evaluator produced shape {out.shape}, expected {shape}")
+    return out
+
+
 @dataclass(eq=False)
 class ParamModel:
     """A model f: R^m x R^d -> R^k, evaluated on all input rows at once.
@@ -125,12 +132,7 @@ class ParamModel:
         if self.evaluator is None:
             raise NoEvaluator("model has no evaluator")
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        out = np.asarray(self.evaluator(X, p), dtype=float)
-        if out.shape != (X.shape[0], self.output_dim):
-            raise DimensionMismatch(
-                f"evaluator produced shape {out.shape}, expected {(X.shape[0], self.output_dim)}"
-            )
-        return out
+        return _evaluate(self.evaluator, X, p, (X.shape[0], self.output_dim))
 
     def descriptor(self) -> dict:
         return {
@@ -172,15 +174,33 @@ def _check_params(model: ParamModel, p) -> np.ndarray:
     return p
 
 
-def residuals(model: ParamModel, data: Dataset, p) -> np.ndarray:
-    """Residual matrix E with E[i, j] = y_ij - f_j(x_i, p)."""
-    p = _check_params(model, p)
+def bind_residuals(model: ParamModel, data: Dataset) -> Callable[[np.ndarray], np.ndarray]:
+    """The map p -> residual matrix of ``model`` on ``data``, checked once.
+
+    The dataset's dimensions and the evaluator's presence are checked here;
+    each call checks only the evaluator's output shape.  Calls take a 1-D
+    float array of ``model.param_dim`` entries, which the caller guarantees.
+    """
     if data.input_dim != model.input_dim or data.output_dim != model.output_dim:
         raise DimensionMismatch(
             f"dataset is {data.input_dim}->{data.output_dim}, model is "
             f"{model.input_dim}->{model.output_dim}"
         )
-    return data.responses - model.predict_all(data.inputs, p)
+    if model.evaluator is None:
+        raise NoEvaluator("model has no evaluator")
+    evaluator, X, Y = model.evaluator, data.inputs, data.responses
+    shape = Y.shape
+
+    def bound(p: np.ndarray) -> np.ndarray:
+        return Y - _evaluate(evaluator, X, p, shape)
+
+    return bound
+
+
+def residuals(model: ParamModel, data: Dataset, p) -> np.ndarray:
+    """Residual matrix E with E[i, j] = y_ij - f_j(x_i, p)."""
+    p = _check_params(model, p)
+    return bind_residuals(model, data)(p)
 
 
 def jacobian(

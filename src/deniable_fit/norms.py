@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -206,13 +206,27 @@ def make_crafted_norm(
     return norm
 
 
+def crafted_kernel(norm: CraftedNorm) -> Callable[[np.ndarray], float]:
+    """The map x -> (3/2) b(x) + (alpha/2) |x . w1|, for repeated evaluation.
+
+    The returned function checks nothing: it takes a 1-D float array of
+    ``norm.dim`` entries.  Every evaluation of a crafted norm goes through it.
+    """
+    variant, rows, w1 = norm.inner_variant, norm.projector.rows, norm.w1
+    half_alpha = 0.5 * norm.alpha
+
+    def value(x: np.ndarray) -> float:
+        return 1.5 * _inner_norm(variant, rows @ x) + half_alpha * abs(float(x @ w1))
+
+    return value
+
+
 def crafted_norm_value(norm: CraftedNorm, x) -> float:
     """Evaluate (3/2) b(x) + (alpha/2) |x . w1|."""
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != norm.dim:
         raise DimensionMismatch(f"expected {norm.dim} entries, got {x.size}")
-    b_part = _inner_norm(norm.inner_variant, norm.projector.rows @ x)
-    return 1.5 * b_part + 0.5 * norm.alpha * abs(float(x @ norm.w1))
+    return crafted_kernel(norm)(x)
 
 
 def mae_transform(norm: CraftedNorm) -> np.ndarray:
@@ -228,6 +242,27 @@ def mae_transform(norm: CraftedNorm) -> np.ndarray:
     return np.vstack([1.5 * norm.projector.rows, 0.5 * norm.alpha * norm.w1[None, :]])
 
 
+def crafted_matrix_kernel(
+    norms: Sequence[CraftedNorm], n: int, k: int
+) -> Callable[[np.ndarray], float]:
+    """The map E -> sum of per-column crafted-norm values of an (n, k) matrix.
+
+    The norms are checked against the shape here, once; the returned
+    function takes a 2-D float array of that shape and checks nothing.
+    """
+    if len(norms) != k:
+        raise LengthMismatch(f"{len(norms)} norms supplied for {k} residual columns")
+    for nm in norms:
+        if nm.dim != n:
+            raise DimensionMismatch(f"crafted norm is anchored on {nm.dim} samples, got {n}")
+    kernels = [crafted_kernel(nm) for nm in norms]
+
+    def value(E: np.ndarray) -> float:
+        return float(sum(kernel(E[:, j]) for j, kernel in enumerate(kernels)))
+
+    return value
+
+
 def crafted_matrix_norm(norms: Sequence[CraftedNorm], E) -> float:
     """Sum of per-column crafted-norm values of a residual matrix."""
     E = np.asarray(E, dtype=float)
@@ -235,11 +270,7 @@ def crafted_matrix_norm(norms: Sequence[CraftedNorm], E) -> float:
         E = E[:, None]
     if E.ndim != 2:
         raise DimensionMismatch("residuals must form an n x k matrix")
-    if len(norms) != E.shape[1]:
-        raise LengthMismatch(
-            f"{len(norms)} norms supplied for {E.shape[1]} residual columns"
-        )
-    return float(sum(crafted_norm_value(nm, E[:, j]) for j, nm in enumerate(norms)))
+    return crafted_matrix_kernel(norms, *E.shape)(E)
 
 
 def standard_metric(kind: str, y, y_hat) -> float:

@@ -8,6 +8,8 @@ handles them and is bit-for-bit deterministic for a fixed configuration.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -16,11 +18,12 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     InvalidArguments,
-    LengthMismatch,
     NonFiniteObjective,
 )
-from .models import Dataset, ParamModel, residuals
-from .norms import CraftedNorm, crafted_matrix_norm, crafted_norm_value
+from .models import Dataset, ParamModel, bind_residuals
+# Not called here; perfbench/tracing.py wraps training.residuals by that name.
+from .models import residuals  # noqa: F401
+from .norms import CraftedNorm, crafted_kernel, crafted_matrix_kernel
 
 LOSS_TWO_NORM = "two_norm"
 LOSS_ONE_NORM = "one_norm"
@@ -76,33 +79,72 @@ class LossSpec:
     def crafted_matrix(cls, norms: Sequence[CraftedNorm]) -> "LossSpec":
         return cls(LOSS_CRAFTED_MATRIX, norms=tuple(norms))
 
+    def bind(self, shape: Tuple[int, ...]) -> Callable[[np.ndarray], float]:
+        """The reducer of residual matrices of ``shape``, checked once.
+
+        Raises InvalidArguments for an unknown kind or a crafted kind
+        without norms, and DimensionMismatch or LengthMismatch when the
+        norms do not fit an n x k matrix of that shape.  The returned
+        function checks nothing.
+        """
+        if self.kind == LOSS_CRAFTED:
+            if self.norm is None:
+                raise InvalidArguments("crafted loss needs a norm")
+            if len(shape) != 2 or shape[1] != 1:
+                raise DimensionMismatch("crafted loss applies to single-output residuals")
+            if self.norm.dim != shape[0]:
+                raise DimensionMismatch(
+                    f"crafted norm is anchored on {self.norm.dim} samples, got {shape[0]}"
+                )
+            kernel = crafted_kernel(self.norm)
+            return lambda E: kernel(E[:, 0])
+        if self.kind == LOSS_CRAFTED_MATRIX:
+            if not self.norms:
+                raise InvalidArguments("crafted_matrix loss needs one norm per column")
+            if len(shape) != 2:
+                raise DimensionMismatch("residuals must form an n x k matrix")
+            return crafted_matrix_kernel(self.norms, *shape)
+        try:
+            return _STANDARD_REDUCERS[self.kind]
+        except KeyError:
+            raise InvalidArguments(f"unknown loss kind {self.kind!r}") from None
+
     def evaluate(self, E) -> float:
         E = np.asarray(E, dtype=float)
         if E.ndim == 1:
             E = E[:, None]
-        # The crafted kinds come first: they are the fits' hot path.
-        if self.kind == LOSS_CRAFTED:
-            if self.norm is None:
-                raise InvalidArguments("crafted loss needs a norm")
-            if E.shape[1] != 1:
-                raise DimensionMismatch("crafted loss applies to single-output residuals")
-            return crafted_norm_value(self.norm, E[:, 0])
-        if self.kind == LOSS_CRAFTED_MATRIX:
-            if not self.norms:
-                raise InvalidArguments("crafted_matrix loss needs one norm per column")
-            return crafted_matrix_norm(self.norms, E)
-        flat = E.reshape(-1)
-        if self.kind == LOSS_TWO_NORM:
-            return float(np.linalg.norm(flat))
-        if self.kind == LOSS_ONE_NORM:
-            return float(np.abs(flat).sum())
-        if self.kind == LOSS_MSE:
-            return float(flat @ flat) / flat.size
-        if self.kind == LOSS_RMSE:
-            return float(np.sqrt(float(flat @ flat) / flat.size))
-        if self.kind == LOSS_MAE:
-            return float(np.abs(flat).mean())
-        raise InvalidArguments(f"unknown loss kind {self.kind!r}")
+        return self.bind(E.shape)(E)
+
+
+def _two_norm(E: np.ndarray) -> float:
+    return float(np.linalg.norm(E.reshape(-1)))
+
+
+def _one_norm(E: np.ndarray) -> float:
+    return float(np.abs(E.reshape(-1)).sum())
+
+
+def _mse(E: np.ndarray) -> float:
+    flat = E.reshape(-1)
+    return float(flat @ flat) / flat.size
+
+
+def _rmse(E: np.ndarray) -> float:
+    flat = E.reshape(-1)
+    return float(np.sqrt(float(flat @ flat) / flat.size))
+
+
+def _mae(E: np.ndarray) -> float:
+    return float(np.abs(E.reshape(-1)).mean())
+
+
+_STANDARD_REDUCERS = {
+    LOSS_TWO_NORM: _two_norm,
+    LOSS_ONE_NORM: _one_norm,
+    LOSS_MSE: _mse,
+    LOSS_RMSE: _rmse,
+    LOSS_MAE: _mae,
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,12 +192,17 @@ class OptimizerConfig:
 
 @dataclass(frozen=True, eq=False)
 class FittedModel:
-    """Outcome of a minimization run."""
+    """Outcome of a minimization run.
+
+    ``evaluations`` counts the objective calls of all descents, the one at
+    the start point included.
+    """
 
     params: np.ndarray
     final_loss: float
     iterations: int
     converged: bool
+    evaluations: int = 0
 
     def __post_init__(self):
         params = np.array(self.params, dtype=float).reshape(-1)
@@ -163,10 +210,10 @@ class FittedModel:
         object.__setattr__(self, "params", params)
 
 
-def _checked_call(objective: Callable, x: np.ndarray) -> float:
-    value = float(objective(x))
-    # NaN would poison the simplex ordering; treat it as "worst possible".
-    return np.inf if np.isnan(value) else value
+def _sort_simplex(simplex: np.ndarray, values: list) -> Tuple[np.ndarray, list]:
+    # list.sort is stable, so ties keep their order, as np.argsort(kind="stable").
+    order = sorted(range(len(values)), key=values.__getitem__)
+    return simplex[order], [values[i] for i in order]
 
 
 def _descend(
@@ -177,62 +224,72 @@ def _descend(
     iterations_used: int,
     callback: Optional[Callable[[float], None]],
 ) -> Tuple[np.ndarray, float, int, bool]:
-    """One simplex descent from ``x0`` until the value spread collapses."""
+    """One simplex descent from ``x0`` until the value spread collapses.
+
+    ``objective`` returns a float that is never NaN.  The rows of
+    ``simplex`` stay sorted by ``values``, ascending, ties in the order the
+    vertices entered.
+    """
     d = x0.size
     simplex = np.empty((d + 1, d))
-    values = np.empty(d + 1)
     simplex[0] = x0
-    values[0] = f0
+    values = [f0]
     for l in range(d):
         vertex = x0.copy()
         vertex[l] += config.simplex_scale * max(1.0, abs(x0[l]))
         simplex[l + 1] = vertex
-        values[l + 1] = _checked_call(objective, vertex)
-
-    order = np.argsort(values, kind="stable")
-    simplex, values = simplex[order], values[order]
+        values.append(objective(vertex))
+    simplex, values = _sort_simplex(simplex, values)
 
     converged = values[-1] - values[0] < config.convergence_tol
     while not converged and iterations_used < config.max_iters:
         iterations_used += 1
-        centroid = simplex[:-1].mean(axis=0)
+        centroid = simplex[:-1].sum(axis=0) / d
         worst = simplex[-1]
 
         reflected = centroid + (centroid - worst)
-        f_reflected = _checked_call(objective, reflected)
+        f_reflected = objective(reflected)
         if values[0] <= f_reflected < values[-2]:
-            simplex[-1], values[-1] = reflected, f_reflected
+            vertex, f_vertex = reflected, f_reflected
         elif f_reflected < values[0]:
             expanded = centroid + 2.0 * (centroid - worst)
-            f_expanded = _checked_call(objective, expanded)
+            f_expanded = objective(expanded)
             if f_expanded < f_reflected:
-                simplex[-1], values[-1] = expanded, f_expanded
+                vertex, f_vertex = expanded, f_expanded
             else:
-                simplex[-1], values[-1] = reflected, f_reflected
+                vertex, f_vertex = reflected, f_reflected
         else:
             if f_reflected < values[-1]:
                 contracted = centroid + 0.5 * (reflected - centroid)
-                f_contracted = _checked_call(objective, contracted)
+                f_contracted = objective(contracted)
                 accept = f_contracted <= f_reflected
             else:
                 contracted = centroid - 0.5 * (centroid - worst)
-                f_contracted = _checked_call(objective, contracted)
+                f_contracted = objective(contracted)
                 accept = f_contracted < values[-1]
             if accept:
-                simplex[-1], values[-1] = contracted, f_contracted
+                vertex, f_vertex = contracted, f_contracted
             else:
                 # Shrink everything toward the best vertex, which is kept.
+                vertex = None
                 for i in range(1, d + 1):
                     simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
-                    values[i] = _checked_call(objective, simplex[i])
+                    values[i] = objective(simplex[i])
+                simplex, values = _sort_simplex(simplex, values)
 
-        order = np.argsort(values, kind="stable")
-        simplex, values = simplex[order], values[order]
+        if vertex is not None:
+            # The new vertex replaces the worst one and goes after every
+            # vertex whose value it does not undercut, as a stable sort would.
+            i = bisect_right(values, f_vertex, 0, d)
+            simplex[i + 1:] = simplex[i:-1]
+            simplex[i] = vertex
+            values.pop()
+            values.insert(i, f_vertex)
         if callback is not None:
-            callback(float(values[0]))
+            callback(values[0])
         converged = values[-1] - values[0] < config.convergence_tol
 
-    return simplex[0].copy(), float(values[0]), iterations_used, bool(converged)
+    return simplex[0].copy(), values[0], iterations_used, converged
 
 
 def minimize(
@@ -261,12 +318,20 @@ def minimize(
     f = float(objective(x))
     if not np.isfinite(f):
         raise NonFiniteObjective(f"objective is {f} at the start point")
+    evaluations = 1
+
+    def checked(p: np.ndarray) -> float:
+        nonlocal evaluations
+        evaluations += 1
+        value = float(objective(p))
+        # NaN would poison the simplex ordering; treat it as "worst possible".
+        return math.inf if math.isnan(value) else value
 
     iterations = 0
     converged = False
     while True:
         previous_best = f
-        x, f, iterations, converged = _descend(objective, x, f, config, iterations, callback)
+        x, f, iterations, converged = _descend(checked, x, f, config, iterations, callback)
         if not converged or previous_best - f <= config.convergence_tol:
             break
 
@@ -275,34 +340,24 @@ def minimize(
         final_loss=f,
         iterations=iterations,
         converged=converged,
+        evaluations=evaluations,
     )
 
 
 def fit(model: ParamModel, data: Dataset, loss: LossSpec, config: OptimizerConfig) -> FittedModel:
-    """Minimize ``loss`` over the model's residuals on ``data``."""
+    """Minimize ``loss`` over the model's residuals on ``data``.
+
+    The model, the data and the loss are checked once, before the descent;
+    each objective evaluation then runs only the model and the reducer.
+    """
     if config.start.size != model.param_dim:
         raise DimensionMismatch(
             f"start point has {config.start.size} coordinates, model expects {model.param_dim}"
         )
-    if loss.kind == LOSS_CRAFTED:
-        if data.output_dim != 1:
-            raise DimensionMismatch("crafted loss applies to single-output data")
-        if loss.norm is not None and loss.norm.dim != data.n:
-            raise DimensionMismatch(
-                f"crafted norm is anchored on {loss.norm.dim} samples, data has {data.n}"
-            )
-    if loss.kind == LOSS_CRAFTED_MATRIX:
-        if len(loss.norms) != data.output_dim:
-            raise LengthMismatch(
-                f"{len(loss.norms)} norms supplied for {data.output_dim} outputs"
-            )
-        for nm in loss.norms:
-            if nm.dim != data.n:
-                raise DimensionMismatch(
-                    f"crafted norm anchored on {nm.dim} samples, data has {data.n}"
-                )
+    reduce = loss.bind((data.n, data.output_dim))
+    residuals_at = bind_residuals(model, data)
 
     def objective(p: np.ndarray) -> float:
-        return loss.evaluate(residuals(model, data, p))
+        return reduce(residuals_at(p))
 
     return minimize(objective, config)

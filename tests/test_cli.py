@@ -185,6 +185,13 @@ class TestExperiment:
                          "--seed", "4", "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_fewer_than_one_trial_exits_1(self, trials, tmp_path, capsys):
+        out = tmp_path / "results.json"
+        assert main(["experiment", "--trials", trials, "--out", str(out)]) == 1
+        assert "InvalidArguments" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAdversary:
     def test_deterministic_output(self, capsys):

@@ -1,5 +1,10 @@
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from deniable_fit import (
@@ -9,14 +14,169 @@ from deniable_fit import (
     InvalidArguments,
     LengthMismatch,
     LossSpec,
+    NoEvaluator,
     NonFiniteObjective,
     OptimizerConfig,
+    ParamModel,
+    crafted_matrix_norm,
+    crafted_norm_value,
     fit,
     linear_regression_model,
     make_crafted_norm,
     minimize,
     residuals,
 )
+
+from conftest import two_output_linear_model
+
+
+# --- Reference implementations: the argsort-ordered Nelder-Mead loop and the
+# per-evaluation loss checks that fit ran before it bound its objective once.
+# minimize and LossSpec must match them bit for bit.
+
+
+def _reference_checked_call(objective, x):
+    value = float(objective(x))
+    return np.inf if np.isnan(value) else value
+
+
+def _reference_descend(objective, x0, f0, config, iterations_used, callback):
+    d = x0.size
+    simplex = np.empty((d + 1, d))
+    values = np.empty(d + 1)
+    simplex[0] = x0
+    values[0] = f0
+    for l in range(d):
+        vertex = x0.copy()
+        vertex[l] += config.simplex_scale * max(1.0, abs(x0[l]))
+        simplex[l + 1] = vertex
+        values[l + 1] = _reference_checked_call(objective, vertex)
+
+    order = np.argsort(values, kind="stable")
+    simplex, values = simplex[order], values[order]
+
+    converged = values[-1] - values[0] < config.convergence_tol
+    while not converged and iterations_used < config.max_iters:
+        iterations_used += 1
+        centroid = simplex[:-1].mean(axis=0)
+        worst = simplex[-1]
+
+        reflected = centroid + (centroid - worst)
+        f_reflected = _reference_checked_call(objective, reflected)
+        if values[0] <= f_reflected < values[-2]:
+            simplex[-1], values[-1] = reflected, f_reflected
+        elif f_reflected < values[0]:
+            expanded = centroid + 2.0 * (centroid - worst)
+            f_expanded = _reference_checked_call(objective, expanded)
+            if f_expanded < f_reflected:
+                simplex[-1], values[-1] = expanded, f_expanded
+            else:
+                simplex[-1], values[-1] = reflected, f_reflected
+        else:
+            if f_reflected < values[-1]:
+                contracted = centroid + 0.5 * (reflected - centroid)
+                f_contracted = _reference_checked_call(objective, contracted)
+                accept = f_contracted <= f_reflected
+            else:
+                contracted = centroid - 0.5 * (centroid - worst)
+                f_contracted = _reference_checked_call(objective, contracted)
+                accept = f_contracted < values[-1]
+            if accept:
+                simplex[-1], values[-1] = contracted, f_contracted
+            else:
+                for i in range(1, d + 1):
+                    simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
+                    values[i] = _reference_checked_call(objective, simplex[i])
+
+        order = np.argsort(values, kind="stable")
+        simplex, values = simplex[order], values[order]
+        if callback is not None:
+            callback(float(values[0]))
+        converged = values[-1] - values[0] < config.convergence_tol
+
+    return simplex[0].copy(), float(values[0]), iterations_used, bool(converged)
+
+
+def reference_minimize(objective, config, callback=None):
+    """Returns (params, final_loss, iterations, converged, objective calls)."""
+    calls = 0
+
+    def counted(p):
+        nonlocal calls
+        calls += 1
+        return objective(p)
+
+    x = np.array(config.start, dtype=float)
+    f = float(counted(x))
+    if not np.isfinite(f):
+        raise NonFiniteObjective(f"objective is {f} at the start point")
+    iterations = 0
+    converged = False
+    while True:
+        previous_best = f
+        x, f, iterations, converged = _reference_descend(
+            counted, x, f, config, iterations, callback
+        )
+        if not converged or previous_best - f <= config.convergence_tol:
+            break
+    return x, f, iterations, converged, calls
+
+
+def _reference_crafted_norm_value(norm, x):
+    x = np.asarray(x, dtype=float).reshape(-1)
+    v = norm.projector.rows @ x
+    if norm.inner_variant == "euclidean":
+        b_part = math.sqrt(float(v @ v))
+    else:
+        b_part = float(np.abs(v).sum())
+    return 1.5 * b_part + 0.5 * norm.alpha * abs(float(x @ norm.w1))
+
+
+def reference_loss(loss, E):
+    E = np.asarray(E, dtype=float)
+    if E.ndim == 1:
+        E = E[:, None]
+    if loss.kind == "crafted":
+        return _reference_crafted_norm_value(loss.norm, E[:, 0])
+    if loss.kind == "crafted_matrix":
+        return float(sum(
+            _reference_crafted_norm_value(nm, E[:, j]) for j, nm in enumerate(loss.norms)
+        ))
+    flat = E.reshape(-1)
+    return {
+        "two_norm": lambda: float(np.linalg.norm(flat)),
+        "one_norm": lambda: float(np.abs(flat).sum()),
+        "mse": lambda: float(flat @ flat) / flat.size,
+        "rmse": lambda: float(np.sqrt(float(flat @ flat) / flat.size)),
+        "mae": lambda: float(np.abs(flat).mean()),
+    }[loss.kind]()
+
+
+def bits(value) -> bytes:
+    return struct.pack("<d", value)
+
+
+def assert_same_fit(result, reference, seen=None, reference_seen=None):
+    params, final_loss, iterations, converged, calls = reference
+    assert result.params.tobytes() == params.tobytes()
+    assert bits(result.final_loss) == bits(final_loss)
+    assert result.iterations == iterations
+    assert result.converged is converged
+    assert result.evaluations == calls
+    if seen is not None:
+        assert [bits(v) for v in seen] == [bits(v) for v in reference_seen]
+
+
+def _crafted_problem(seed, d, variant):
+    rng = np.random.default_rng(seed)
+    n = d + 1 + int(rng.integers(0, d + 1))
+    model = linear_regression_model(d - 1)
+    data = Dataset(rng.integers(1, 9, size=(n, d - 1)).astype(float),
+                   rng.integers(1, 9, size=(n, 1)).astype(float))
+    p_star = rng.uniform(-6.0, 6.0, size=d)
+    norm = make_crafted_norm(residuals(model, data, p_star)[:, 0], seed=seed,
+                             inner_variant=variant)
+    return model, data, LossSpec.crafted(norm), p_star
 
 
 class TestMinimize:
@@ -85,7 +245,140 @@ class TestMinimize:
             OptimizerConfig(start=np.zeros(2), convergence_tol=-1.0)
 
 
+OBJECTIVE_KINDS = ("kinked_bowl", "plateau", "nan_inf_region", "crafted_euclidean", "crafted_one_norm")
+
+
+def _objective_and_start(kind, seed, d):
+    """An objective of the named kind and a start point where it is finite."""
+    if kind.startswith("crafted_"):
+        d = max(d, 2)
+        model, data, loss, p_star = _crafted_problem(seed, d, kind[len("crafted_"):])
+        start = p_star + np.random.default_rng(seed).uniform(-1.0, 1.0, size=d)
+        return (lambda p: loss.evaluate(residuals(model, data, p))), start
+    rng = np.random.default_rng(seed)
+    target = rng.uniform(-3.0, 3.0, size=d)
+    if kind == "kinked_bowl":
+        def objective(p):
+            return float(np.abs(p - target).sum()) + 0.1 * float(((p - target) ** 2).sum())
+        return objective, rng.uniform(-4.0, 4.0, size=d)
+    if kind == "plateau":
+        # Wide flat steps: many vertices tie, so the order of ties matters.
+        return (lambda p: float(np.floor(8 * np.abs(p - target)).sum())), rng.uniform(-4.0, 4.0, size=d)
+
+    def objective(p):
+        if p[0] > target[0] + 0.5:
+            return float("nan")
+        if p[-1] < target[-1] - 1.0:
+            return float("inf")
+        return float(((p - target) ** 2).sum())
+
+    return objective, target - 0.4
+
+
+class TestMatchesReferenceLoop:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 8),
+           kind=st.sampled_from(OBJECTIVE_KINDS))
+    def test_minimize_bitwise(self, seed, d, kind):
+        objective, start = _objective_and_start(kind, seed, d)
+        config = OptimizerConfig(start=start, max_iters=2000)
+        seen, reference_seen = [], []
+        result = minimize(objective, config, callback=seen.append)
+        reference = reference_minimize(objective, config, callback=reference_seen.append)
+        assert_same_fit(result, reference, seen, reference_seen)
+
+    @pytest.mark.parametrize(
+        "kind", ["two_norm", "one_norm", "mse", "rmse", "mae", "crafted", "crafted_matrix"]
+    )
+    def test_fit_bitwise(self, kind):
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            if kind == "crafted_matrix":
+                model = two_output_linear_model(3)
+                data = Dataset(rng.integers(1, 9, size=(9, 3)).astype(float),
+                               rng.integers(1, 9, size=(9, 2)).astype(float))
+                E = residuals(model, data, rng.uniform(-3.0, 3.0, size=4))
+                loss = LossSpec.crafted_matrix(
+                    [make_crafted_norm(E[:, j], seed=j,
+                                       inner_variant=("euclidean", "one_norm")[seed % 2])
+                     for j in range(2)]
+                )
+            elif kind == "crafted":
+                model, data, loss, _ = _crafted_problem(seed, 6, ("euclidean", "one_norm")[seed % 2])
+            else:
+                model = linear_regression_model(3)
+                data = Dataset(rng.normal(size=(12, 3)), rng.normal(size=(12, 1)))
+                loss = LossSpec(kind)
+            config = OptimizerConfig(start=np.zeros(model.param_dim), max_iters=5000)
+            reference = reference_minimize(
+                lambda p: reference_loss(loss, data.responses - model.predict_all(data.inputs, p)),
+                config,
+            )
+            assert_same_fit(fit(model, data, loss, config), reference)
+
+
+class TestEvaluations:
+    def test_minimize_counts_every_objective_call(self):
+        calls = 0
+
+        def objective(p):
+            nonlocal calls
+            calls += 1
+            return float(np.abs(p - np.array([0.3, -0.7, 2.0])).sum())
+
+        result = minimize(objective, OptimizerConfig(start=np.array([5.0, 5.0, 5.0])))
+        assert result.evaluations == calls > 1
+
+    def test_fit_counts_one_evaluation_per_model_call(self, rng):
+        model = linear_regression_model(2)
+        inner = model.evaluator
+        calls = 0
+
+        def counting(X, p):
+            nonlocal calls
+            calls += 1
+            return inner(X, p)
+
+        model.evaluator = counting
+        data = Dataset(rng.normal(size=(8, 2)), rng.normal(size=(8, 1)))
+        result = fit(model, data, LossSpec.one_norm(), OptimizerConfig(start=np.zeros(3)))
+        assert result.evaluations == calls > 1
+
+
 class TestLossSpec:
+    @pytest.mark.parametrize(
+        "kind", ["two_norm", "one_norm", "mse", "rmse", "mae", "crafted", "crafted_matrix"]
+    )
+    def test_bound_reducer_matches_evaluate_bitwise(self, kind, rng):
+        k = 2 if kind == "crafted_matrix" else 1 + (kind in ("two_norm", "mae"))
+        for variant in ("euclidean", "one_norm"):
+            norms = [make_crafted_norm(rng.normal(size=7), seed=j, inner_variant=variant)
+                     for j in range(k)]
+            loss = {"crafted": LossSpec.crafted(norms[0]),
+                    "crafted_matrix": LossSpec.crafted_matrix(norms)}.get(kind, LossSpec(kind))
+            for _ in range(10):
+                E = rng.normal(size=(7, k)) * float(rng.uniform(1e-3, 1e3))
+                if k == 2:
+                    assert not E[:, 0].flags.c_contiguous   # strided columns
+                value = loss.bind(E.shape)(E)
+                assert bits(value) == bits(loss.evaluate(E)) == bits(reference_loss(loss, E))
+                if kind == "crafted":
+                    assert bits(crafted_norm_value(norms[0], E[:, 0])) == bits(value)
+                if kind == "crafted_matrix":
+                    assert bits(crafted_matrix_norm(norms, E)) == bits(value)
+
+    def test_bind_checks_the_shape_once(self, rng):
+        norm = make_crafted_norm(rng.normal(size=6), seed=0)
+        with pytest.raises(DimensionMismatch):
+            LossSpec.crafted(norm).bind((5, 1))
+        with pytest.raises(DimensionMismatch):
+            LossSpec.crafted(norm).bind((6, 2))
+        with pytest.raises(LengthMismatch):
+            LossSpec.crafted_matrix([norm]).bind((6, 2))
+        with pytest.raises(InvalidArguments):
+            LossSpec("crafted").bind((6, 1))
+
+
     def test_standard_kinds_match_numpy(self, rng):
         E = rng.normal(size=(6, 2))
         flat = E.reshape(-1)
@@ -155,6 +448,33 @@ class TestFit:
         with pytest.raises(LengthMismatch):
             fit(model, data, LossSpec.crafted_matrix([norm, norm]),
                 OptimizerConfig(start=np.zeros(3)))
+
+    def test_evaluator_shape_checked_mid_fit(self, rng):
+        calls = 0
+
+        def evaluate(X, p):
+            nonlocal calls
+            calls += 1
+            out = (p[0] + np.vecdot(X, p[1:]))[:, None]
+            return out if calls < 10 else np.hstack([out, out])
+
+        model = ParamModel(param_dim=3, input_dim=2, output_dim=1, evaluator=evaluate)
+        data = Dataset(rng.normal(size=(6, 2)), rng.normal(size=(6, 1)))
+        with pytest.raises(DimensionMismatch):
+            fit(model, data, LossSpec.two_norm(), OptimizerConfig(start=np.zeros(3)))
+        assert calls == 10
+
+    def test_model_without_evaluator(self, rng):
+        model = ParamModel(param_dim=3, input_dim=2, output_dim=1)
+        data = Dataset(rng.normal(size=(6, 2)), rng.normal(size=(6, 1)))
+        with pytest.raises(NoEvaluator):
+            fit(model, data, LossSpec.two_norm(), OptimizerConfig(start=np.zeros(3)))
+
+    def test_dataset_width_checked(self, rng):
+        model = linear_regression_model(2)
+        data = Dataset(rng.normal(size=(6, 3)), rng.normal(size=(6, 1)))
+        with pytest.raises(DimensionMismatch):
+            fit(model, data, LossSpec.two_norm(), OptimizerConfig(start=np.zeros(3)))
 
     def test_fitted_model_params_readonly(self):
         result = FittedModel(params=np.array([1.0]), final_loss=0.0,
