@@ -25,6 +25,7 @@ import numpy as np
 from .deniability import (
     ContinuousUniform,
     DEFAULT_RESOLUTION,
+    DEFAULT_TOLERANCE,
     DenialCertificate,
     DiscreteUniform,
     DistributionSpec,
@@ -44,6 +45,7 @@ from .errors import (
     RankConditionViolated,
     ZeroResidual,
 )
+from .linalg import DEFAULT_ZERO_TOL
 from .models import Dataset, ParamModel, linear_regression_model
 from .norms import VARIANT_EUCLIDEAN, VARIANT_ONE_NORM
 from .training import LossSpec, OptimizerConfig, fit
@@ -283,15 +285,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"RNG seed (default: ${SEED_ENV_VAR} or 0)")
     craft.add_argument("--mae", action="store_true",
                        help="use the one-norm inner variant (enables the MAE reduction)")
-    craft.add_argument("--zero-tol", type=float, default=1e-12,
-                       help="residual 2-norm below which crafting is refused")
+    craft.add_argument("--zero-tol", type=float, default=DEFAULT_ZERO_TOL,
+                       help=f"residual 2-norm below which crafting is refused (default {DEFAULT_ZERO_TOL:g})")
     craft.set_defaults(func=cmd_craft)
 
     verify = sub.add_parser("verify", help="replay a certificate")
     verify.add_argument("certificate", help="certificate JSON file")
     verify.add_argument("model", help="fitted-model JSON file")
-    verify.add_argument("--tolerance", type=float, default=5e-3,
-                        help="max per-coordinate deviation accepted (default 5e-3)")
+    verify.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
+                        help=f"max per-coordinate deviation accepted (default {DEFAULT_TOLERANCE:g})")
     verify.set_defaults(func=cmd_verify)
 
     bound = sub.add_parser("bound", help="evaluate the deniability bound")
@@ -312,8 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--trials", type=int, default=20, help="number of trials (default 20)")
     experiment.add_argument("--seed", type=int, default=None,
                             help=f"RNG seed (default: ${SEED_ENV_VAR} or 0)")
-    experiment.add_argument("--tolerance", type=float, default=5e-3,
-                            help="pass threshold on max parameter deviation")
+    experiment.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
+                            help=f"pass threshold on max parameter deviation (default {DEFAULT_TOLERANCE:g})")
     experiment.add_argument("--out", default=None, help="optional JSON results path")
     experiment.set_defaults(func=cmd_experiment)
 

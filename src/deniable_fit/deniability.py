@@ -27,22 +27,22 @@ from .errors import (
     RankConditionViolated,
     ZeroResidual,
 )
-from .linalg import numerical_rank, rank_condition
+from .linalg import DEFAULT_ZERO_TOL, numerical_rank, rank_condition
 from .models import Dataset, ParamModel, jacobian, linear_regression_model, residuals
 from .norms import VARIANT_EUCLIDEAN, CraftedNorm, make_crafted_norm
 from .training import FittedModel, LossSpec, OptimizerConfig, fit
 
-CERT_SCHEMA = "denial-cert/1"
+CERT_SCHEMA = "denial-cert/2"
 
 # Quantization resolution for continuous attributes: entropy is reported
 # for values discretized to this grid.
 DEFAULT_RESOLUTION = 2.0 ** -20
 
-# Residuals below this 2-norm count as a perfect fit (nothing to deny).
-ZERO_RESIDUAL_TOL = 1e-12
-
 # Stored residuals are rechecked to this absolute tolerance on verification.
 INTEGRITY_TOL = 1e-9
+
+# Largest per-coordinate deviation of a replayed fit from p* that passes.
+DEFAULT_TOLERANCE = 5e-3
 
 # Scale of the seeded start-point perturbation used when replaying a fit.
 VERIFY_START_SCALE = 1e-2
@@ -75,6 +75,10 @@ class DiscreteUniform:
     lo: int
     hi: int
 
+    def __post_init__(self):
+        if self.hi < self.lo:
+            raise NonPositiveSupport(f"empty integer range {self.lo}..{self.hi}")
+
 
 @dataclass(frozen=True)
 class ContinuousUniform:
@@ -83,12 +87,20 @@ class ContinuousUniform:
     lo: float
     hi: float
 
+    def __post_init__(self):
+        if self.hi <= self.lo:
+            raise NonPositiveSupport(f"empty interval [{self.lo}, {self.hi}]")
+
 
 @dataclass(frozen=True)
 class Exponential:
     """Exponential with the given rate (mean 1/rate)."""
 
     rate: float
+
+    def __post_init__(self):
+        if self.rate <= 0.0:
+            raise NonPositiveSupport(f"rate must be positive, got {self.rate}")
 
 
 AttributeDist = Union[DiscreteUniform, ContinuousUniform, Exponential]
@@ -110,16 +122,10 @@ class DistributionSpec:
 
 def _attribute_entropy(dist: AttributeDist, resolution: float) -> float:
     if isinstance(dist, DiscreteUniform):
-        if dist.hi < dist.lo:
-            raise NonPositiveSupport(f"empty integer range {dist.lo}..{dist.hi}")
         return math.log2(dist.hi - dist.lo + 1)
     if isinstance(dist, ContinuousUniform):
-        if dist.hi <= dist.lo:
-            raise NonPositiveSupport(f"empty interval [{dist.lo}, {dist.hi}]")
         return math.log2((dist.hi - dist.lo) / resolution)
     if isinstance(dist, Exponential):
-        if dist.rate <= 0.0:
-            raise NonPositiveSupport(f"rate must be positive, got {dist.rate}")
         return (1.0 - math.log(dist.rate) + math.log(1.0 / resolution)) / math.log(2.0)
     raise InvalidArguments(f"unknown distribution {dist!r}")
 
@@ -182,16 +188,10 @@ def deniability_check(k_bits: float, entropy_bits: float, n: int) -> Deniability
 
 def _sample_column(rng: np.random.Generator, dist: AttributeDist, n: int) -> np.ndarray:
     if isinstance(dist, DiscreteUniform):
-        if dist.hi < dist.lo:
-            raise NonPositiveSupport(f"empty integer range {dist.lo}..{dist.hi}")
         return rng.integers(dist.lo, dist.hi + 1, size=n).astype(float)
     if isinstance(dist, ContinuousUniform):
-        if dist.hi <= dist.lo:
-            raise NonPositiveSupport(f"empty interval [{dist.lo}, {dist.hi}]")
         return rng.uniform(dist.lo, dist.hi, size=n)
     if isinstance(dist, Exponential):
-        if dist.rate <= 0.0:
-            raise NonPositiveSupport(f"rate must be positive, got {dist.rate}")
         return rng.exponential(1.0 / dist.rate, size=n)
     raise InvalidArguments(f"unknown distribution {dist!r}")
 
@@ -232,9 +232,7 @@ class DenialCertificate:
     residual: np.ndarray
     optimizer_config: OptimizerConfig
     model_descriptor: dict
-    rank_condition_ok: Tuple[bool, ...]
     seed: Optional[int] = None
-    zero_tol: float = ZERO_RESIDUAL_TOL
 
     def __post_init__(self):
         residual = np.array(self.residual, dtype=float)
@@ -243,17 +241,12 @@ class DenialCertificate:
         residual.setflags(write=False)
         object.__setattr__(self, "residual", residual)
         object.__setattr__(self, "norms", tuple(self.norms))
-        object.__setattr__(self, "rank_condition_ok", tuple(bool(v) for v in self.rank_condition_ok))
         if len(self.norms) != residual.shape[1]:
             raise LengthMismatch(
                 f"{len(self.norms)} norms for {residual.shape[1]} residual columns"
             )
-        if len(self.rank_condition_ok) != len(self.norms):
-            raise LengthMismatch("one rank flag per output column required")
 
     def loss_spec(self) -> LossSpec:
-        if len(self.norms) == 1:
-            return LossSpec.crafted(self.norms[0])
         return LossSpec.crafted_matrix(self.norms)
 
     def to_dict(self) -> dict:
@@ -268,11 +261,6 @@ class DenialCertificate:
             "residual": self.residual.tolist(),
             "norms": [nm.to_dict() for nm in self.norms],
             "optimizer": self.optimizer_config.to_dict(),
-            "rank_condition_ok": list(self.rank_condition_ok),
-            "tolerances": {
-                "zero_residual": self.zero_tol,
-                "integrity": INTEGRITY_TOL,
-            },
         }
 
     @classmethod
@@ -292,9 +280,7 @@ class DenialCertificate:
                 residual=np.asarray(payload["residual"], dtype=float),
                 optimizer_config=OptimizerConfig.from_dict(payload["optimizer"]),
                 model_descriptor=dict(payload["model"]),
-                rank_condition_ok=tuple(payload["rank_condition_ok"]),
                 seed=payload.get("seed"),
-                zero_tol=float(payload.get("tolerances", {}).get("zero_residual", ZERO_RESIDUAL_TOL)),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidArguments(f"malformed certificate: {exc!r}") from None
@@ -322,7 +308,7 @@ def craft_denial(
     decoy: Dataset,
     seed: int = 0,
     inner_variant: str = VARIANT_EUCLIDEAN,
-    zero_tol: float = ZERO_RESIDUAL_TOL,
+    zero_tol: float = DEFAULT_ZERO_TOL,
 ) -> DenialCertificate:
     """Build the denial certificate for ``decoy`` at parameters ``p_star``.
 
@@ -340,7 +326,6 @@ def craft_denial(
     p_star = np.asarray(p_star, dtype=float).reshape(-1)
     E = residuals(model, decoy, p_star)
     norms = []
-    rank_ok = []
     for j in range(E.shape[1]):
         e_j = E[:, j]
         if float(np.linalg.norm(e_j)) <= zero_tol:
@@ -348,7 +333,6 @@ def craft_denial(
         M_j = jacobian(model, decoy, p_star, output_index=j)
         if not rank_condition(M_j, e_j):
             raise RankConditionViolated(j)
-        rank_ok.append(True)
         norms.append(
             make_crafted_norm(
                 e_j,
@@ -359,16 +343,13 @@ def craft_denial(
     start = p_star + VERIFY_START_SCALE * substream(seed, "optimizer-start").standard_normal(
         p_star.size
     )
-    config = OptimizerConfig(start=start, seed=derive_seed(seed, "optimizer-start"))
     return DenialCertificate(
         decoy=decoy,
         norms=tuple(norms),
         residual=E,
-        optimizer_config=config,
+        optimizer_config=OptimizerConfig(start=start),
         model_descriptor=model.descriptor(),
-        rank_condition_ok=tuple(rank_ok),
         seed=int(seed),
-        zero_tol=zero_tol,
     )
 
 
@@ -453,7 +434,7 @@ def verify_denial(
     certificate: DenialCertificate,
     model: ParamModel,
     p_star,
-    tolerance: float = 5e-3,
+    tolerance: float = DEFAULT_TOLERANCE,
 ) -> VerificationReport:
     """Replay the certified retraining and compare against p*.
 
@@ -569,7 +550,7 @@ def run_denial_trial(
     d: int = 6,
     n: int = 10,
     seed: int = 0,
-    tolerance: float = 5e-3,
+    tolerance: float = DEFAULT_TOLERANCE,
     index: int = 0,
     inner_variant: str = VARIANT_EUCLIDEAN,
 ) -> TrialResult:

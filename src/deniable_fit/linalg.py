@@ -42,13 +42,10 @@ class ProjectionMatrix:
         component orthogonal to that direction in an orthonormal basis.
     source_error : (n,) ndarray
         The vector the map annihilates.
-    svd_tolerance : float
-        Zero threshold used when the map was built.
     """
 
     rows: np.ndarray
     source_error: np.ndarray
-    svd_tolerance: float = DEFAULT_ZERO_TOL
 
     def __post_init__(self):
         object.__setattr__(self, "rows", _readonly(self.rows))
@@ -103,7 +100,7 @@ def nullspace_projector(e, zero_tol: float = DEFAULT_ZERO_TOL) -> ProjectionMatr
     # One nonzero singular value; rows 2..n of U^T pair with zero rows of
     # the singular-value matrix and span the complement of e.
     rows = u[:, 1:].T
-    return ProjectionMatrix(rows=rows, source_error=e, svd_tolerance=zero_tol)
+    return ProjectionMatrix(rows=rows, source_error=e)
 
 
 def numerical_rank(M, tol: Optional[float] = None) -> int:

@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
 from .errors import (
     DimensionMismatch,
     DimensionTooSmall,
-    EmptyInput,
     InvalidArguments,
     LengthMismatch,
     RejectionExhausted,
@@ -63,16 +62,12 @@ class CraftedNorm:
         Weight of the |x . w1| term; equals b(w1) / 2 at construction.
     inner_variant : str
         Norm applied to B x: "euclidean" or "one_norm".
-    seed : int or None
-        Seed used to draw w1, kept for replay; None when w1 came from an
-        externally supplied generator.
     """
 
     projector: ProjectionMatrix
     w1: np.ndarray
     alpha: float
     inner_variant: str = VARIANT_EUCLIDEAN
-    seed: Optional[int] = None
 
     def __post_init__(self):
         w1 = np.array(self.w1, dtype=float).reshape(-1)
@@ -107,11 +102,9 @@ class CraftedNorm:
         return {
             "b_rows": self.projector.rows.tolist(),
             "source_error": self.projector.source_error.tolist(),
-            "svd_tolerance": self.projector.svd_tolerance,
             "w1": self.w1.tolist(),
             "alpha": self.alpha,
             "variant": self.inner_variant,
-            "seed": self.seed,
         }
 
     @classmethod
@@ -119,14 +112,12 @@ class CraftedNorm:
         projector = ProjectionMatrix(
             rows=np.asarray(payload["b_rows"], dtype=float),
             source_error=np.asarray(payload["source_error"], dtype=float),
-            svd_tolerance=float(payload["svd_tolerance"]),
         )
         norm = cls(
             projector=projector,
             w1=np.asarray(payload["w1"], dtype=float),
             alpha=float(payload["alpha"]),
             inner_variant=str(payload["variant"]),
-            seed=payload.get("seed"),
         )
         norm.validate()
         return norm
@@ -195,13 +186,7 @@ def make_crafted_norm(
     projector = nullspace_projector(e, zero_tol)
     w1 = pick_w1(e, projector, seed)
     alpha = 0.5 * _inner_norm(inner_variant, projector.rows @ w1)
-    norm = CraftedNorm(
-        projector=projector,
-        w1=w1,
-        alpha=alpha,
-        inner_variant=inner_variant,
-        seed=seed if isinstance(seed, int) else None,
-    )
+    norm = CraftedNorm(projector=projector, w1=w1, alpha=alpha, inner_variant=inner_variant)
     norm.validate()
     return norm
 
@@ -255,10 +240,14 @@ def crafted_matrix_kernel(
     for nm in norms:
         if nm.dim != n:
             raise DimensionMismatch(f"crafted norm is anchored on {nm.dim} samples, got {n}")
-    kernels = [crafted_kernel(nm) for nm in norms]
+    columns = [(j, crafted_kernel(nm)) for j, nm in enumerate(norms)]
 
     def value(E: np.ndarray) -> float:
-        return float(sum(kernel(E[:, j]) for j, kernel in enumerate(kernels)))
+        # A plain loop: a generator sum costs more than the one-column work at k=1.
+        total = 0.0
+        for j, kernel in columns:
+            total += kernel(E[:, j])
+        return total
 
     return value
 
@@ -272,21 +261,3 @@ def crafted_matrix_norm(norms: Sequence[CraftedNorm], E) -> float:
         raise DimensionMismatch("residuals must form an n x k matrix")
     return crafted_matrix_kernel(norms, *E.shape)(E)
 
-
-def standard_metric(kind: str, y, y_hat) -> float:
-    """Textbook error metrics: "mse", "rmse", or "mae"."""
-    y = np.asarray(y, dtype=float).reshape(-1)
-    y_hat = np.asarray(y_hat, dtype=float).reshape(-1)
-    if y.size == 0:
-        raise EmptyInput("metrics need at least one sample")
-    if y.size != y_hat.size:
-        raise DimensionMismatch(f"length mismatch: {y.size} vs {y_hat.size}")
-    r = y - y_hat
-    kind = kind.lower()
-    if kind == "mse":
-        return float(r @ r) / r.size
-    if kind == "rmse":
-        return math.sqrt(float(r @ r) / r.size)
-    if kind == "mae":
-        return float(np.abs(r).sum()) / r.size
-    raise InvalidArguments(f"unknown metric {kind!r}")

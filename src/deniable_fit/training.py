@@ -17,20 +17,20 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    EmptyInput,
     InvalidArguments,
     NonFiniteObjective,
 )
 from .models import Dataset, ParamModel, bind_residuals
 # Not called here; perfbench/tracing.py wraps training.residuals by that name.
 from .models import residuals  # noqa: F401
-from .norms import CraftedNorm, crafted_kernel, crafted_matrix_kernel
+from .norms import CraftedNorm, crafted_matrix_kernel
 
 LOSS_TWO_NORM = "two_norm"
 LOSS_ONE_NORM = "one_norm"
 LOSS_MSE = "mse"
 LOSS_RMSE = "rmse"
 LOSS_MAE = "mae"
-LOSS_CRAFTED = "crafted"
 LOSS_CRAFTED_MATRIX = "crafted_matrix"
 
 DEFAULT_MAX_ITERS = 40000
@@ -42,13 +42,11 @@ DEFAULT_CONVERGENCE_TOL = 1e-13
 class LossSpec:
     """What to minimize over the residual matrix.
 
-    Standard kinds reduce the flattened residuals; "crafted" applies one
-    crafted norm to a single-output residual column; "crafted_matrix" sums
-    per-column crafted norms for multi-output models.
+    Standard kinds reduce the flattened residuals; "crafted_matrix" sums
+    one crafted norm per residual column, a single-output model included.
     """
 
     kind: str
-    norm: Optional[CraftedNorm] = None
     norms: Tuple[CraftedNorm, ...] = ()
 
     @classmethod
@@ -72,10 +70,6 @@ class LossSpec:
         return cls(LOSS_MAE)
 
     @classmethod
-    def crafted(cls, norm: CraftedNorm) -> "LossSpec":
-        return cls(LOSS_CRAFTED, norm=norm)
-
-    @classmethod
     def crafted_matrix(cls, norms: Sequence[CraftedNorm]) -> "LossSpec":
         return cls(LOSS_CRAFTED_MATRIX, norms=tuple(norms))
 
@@ -83,21 +77,11 @@ class LossSpec:
         """The reducer of residual matrices of ``shape``, checked once.
 
         Raises InvalidArguments for an unknown kind or a crafted kind
-        without norms, and DimensionMismatch or LengthMismatch when the
-        norms do not fit an n x k matrix of that shape.  The returned
-        function checks nothing.
+        without norms, DimensionMismatch or LengthMismatch when the norms
+        do not fit an n x k matrix of that shape, and EmptyInput when a
+        standard kind gets no residuals.  The returned function checks
+        nothing.
         """
-        if self.kind == LOSS_CRAFTED:
-            if self.norm is None:
-                raise InvalidArguments("crafted loss needs a norm")
-            if len(shape) != 2 or shape[1] != 1:
-                raise DimensionMismatch("crafted loss applies to single-output residuals")
-            if self.norm.dim != shape[0]:
-                raise DimensionMismatch(
-                    f"crafted norm is anchored on {self.norm.dim} samples, got {shape[0]}"
-                )
-            kernel = crafted_kernel(self.norm)
-            return lambda E: kernel(E[:, 0])
         if self.kind == LOSS_CRAFTED_MATRIX:
             if not self.norms:
                 raise InvalidArguments("crafted_matrix loss needs one norm per column")
@@ -105,9 +89,12 @@ class LossSpec:
                 raise DimensionMismatch("residuals must form an n x k matrix")
             return crafted_matrix_kernel(self.norms, *shape)
         try:
-            return _STANDARD_REDUCERS[self.kind]
+            reduce = _STANDARD_REDUCERS[self.kind]
         except KeyError:
             raise InvalidArguments(f"unknown loss kind {self.kind!r}") from None
+        if 0 in shape:
+            raise EmptyInput("a loss needs at least one residual")
+        return reduce
 
     def evaluate(self, E) -> float:
         E = np.asarray(E, dtype=float)
@@ -117,7 +104,9 @@ class LossSpec:
 
 
 def _two_norm(E: np.ndarray) -> float:
-    return float(np.linalg.norm(E.reshape(-1)))
+    flat = E.reshape(-1)
+    # What np.linalg.norm computes for a 1-D float vector, minus its overhead.
+    return math.sqrt(float(flat @ flat))
 
 
 def _one_norm(E: np.ndarray) -> float:
@@ -155,7 +144,6 @@ class OptimizerConfig:
     max_iters: int = DEFAULT_MAX_ITERS
     simplex_scale: float = DEFAULT_SIMPLEX_SCALE
     convergence_tol: float = DEFAULT_CONVERGENCE_TOL
-    seed: Optional[int] = None
 
     def __post_init__(self):
         start = np.array(self.start, dtype=float).reshape(-1)
@@ -176,7 +164,6 @@ class OptimizerConfig:
             "max_iters": self.max_iters,
             "simplex_scale": self.simplex_scale,
             "convergence_tol": self.convergence_tol,
-            "seed": self.seed,
         }
 
     @classmethod
@@ -186,7 +173,6 @@ class OptimizerConfig:
             max_iters=int(payload["max_iters"]),
             simplex_scale=float(payload["simplex_scale"]),
             convergence_tol=float(payload["convergence_tol"]),
-            seed=payload.get("seed"),
         )
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from deniable_fit import (
     generate_decoy,
     jacobian,
     linear_regression_model,
+    rank_condition,
     residuals,
     run_denial_trial,
     serialized_bit_length,
@@ -34,6 +36,8 @@ from deniable_fit import (
     LossSpec,
     OptimizerConfig,
 )
+
+from deniable_fit.cli import main, write_model_file
 
 from conftest import two_output_linear_model
 
@@ -174,7 +178,7 @@ class TestCraftDenial:
         model, p_star, decoy = small_problem(rng)
         cert = craft_denial(model, p_star, decoy, seed=7)
         assert len(cert.norms) == 1
-        assert cert.rank_condition_ok == (True,)
+        assert rank_condition(jacobian(model, decoy, p_star), cert.residual[:, 0])
         assert cert.residual.shape == (10, 1)
         assert_allclose(cert.residual, residuals(model, decoy, p_star))
         assert cert.model_descriptor["family"] == "linear_regression"
@@ -229,7 +233,7 @@ class TestCraftDenial:
             10,
             seed=3,
         )
-        assert cert.rank_condition_ok == (True,)
+        assert rank_condition(jacobian(model, cert.decoy, p_star), cert.residual[:, 0])
 
 
 class TestVerifyDenial:
@@ -303,7 +307,45 @@ class TestVerifyDenial:
         assert report.passed
 
 
+def legacy_payload(payload):
+    """``payload`` as the first schema wrote it, dead fields included."""
+    legacy = dict(payload, schema="denial-cert/1", rank_condition_ok=[True],
+                  tolerances={"zero_residual": 1e-12, "integrity": 1e-9})
+    legacy["norms"] = [dict(nm, svd_tolerance=1e-12, seed=None) for nm in payload["norms"]]
+    legacy["optimizer"] = dict(payload["optimizer"], seed=None)
+    return legacy
+
+
 class TestCertificateLoading:
+    def test_schema_keys_are_exact(self, rng):
+        model, p_star, decoy = small_problem(rng)
+        payload = craft_denial(model, p_star, decoy, seed=1).to_dict()
+        assert payload["schema"] == "denial-cert/2"
+        assert set(payload) == {
+            "schema", "seed", "model", "decoy", "residual", "norms", "optimizer",
+        }
+        assert set(payload["decoy"]) == {"inputs", "responses"}
+        for nm in payload["norms"]:
+            assert set(nm) == {"source_error", "b_rows", "w1", "alpha", "variant"}
+        assert set(payload["optimizer"]) == {
+            "start", "max_iters", "simplex_scale", "convergence_tol",
+        }
+
+    def test_first_schema_refused(self, rng):
+        model, p_star, decoy = small_problem(rng)
+        payload = craft_denial(model, p_star, decoy, seed=1).to_dict()
+        with pytest.raises(InvalidArguments):
+            DenialCertificate.from_dict(legacy_payload(payload))
+
+    def test_cli_verify_refuses_first_schema(self, rng, tmp_path, capsys):
+        model, p_star, decoy = small_problem(rng)
+        payload = craft_denial(model, p_star, decoy, seed=1).to_dict()
+        cert_path, model_path = tmp_path / "cert.json", tmp_path / "model.json"
+        cert_path.write_text(json.dumps(legacy_payload(payload)))
+        write_model_file(model_path, 5, p_star)
+        assert main(["verify", str(cert_path), str(model_path)]) == 1
+        assert "unsupported certificate schema" in capsys.readouterr().err
+
     def test_missing_key_rejected(self, rng):
         model, p_star, decoy = small_problem(rng)
         payload = craft_denial(model, p_star, decoy, seed=1).to_dict()

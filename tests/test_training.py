@@ -136,8 +136,9 @@ def reference_loss(loss, E):
     E = np.asarray(E, dtype=float)
     if E.ndim == 1:
         E = E[:, None]
-    if loss.kind == "crafted":
-        return _reference_crafted_norm_value(loss.norm, E[:, 0])
+    if loss.kind == "crafted_matrix" and len(loss.norms) == 1:
+        # The one-column crafted loss, with no sum around it.
+        return _reference_crafted_norm_value(loss.norms[0], E[:, 0])
     if loss.kind == "crafted_matrix":
         return float(sum(
             _reference_crafted_norm_value(nm, E[:, j]) for j, nm in enumerate(loss.norms)
@@ -176,7 +177,7 @@ def _crafted_problem(seed, d, variant):
     p_star = rng.uniform(-6.0, 6.0, size=d)
     norm = make_crafted_norm(residuals(model, data, p_star)[:, 0], seed=seed,
                              inner_variant=variant)
-    return model, data, LossSpec.crafted(norm), p_star
+    return model, data, LossSpec.crafted_matrix([norm]), p_star
 
 
 class TestMinimize:
@@ -303,7 +304,7 @@ class TestMatchesReferenceLoop:
                                        inner_variant=("euclidean", "one_norm")[seed % 2])
                      for j in range(2)]
                 )
-            elif kind == "crafted":
+            elif kind == "crafted":   # crafted_matrix with one norm
                 model, data, loss, _ = _crafted_problem(seed, 6, ("euclidean", "one_norm")[seed % 2])
             else:
                 model = linear_regression_model(3)
@@ -354,7 +355,7 @@ class TestLossSpec:
         for variant in ("euclidean", "one_norm"):
             norms = [make_crafted_norm(rng.normal(size=7), seed=j, inner_variant=variant)
                      for j in range(k)]
-            loss = {"crafted": LossSpec.crafted(norms[0]),
+            loss = {"crafted": LossSpec.crafted_matrix(norms[:1]),
                     "crafted_matrix": LossSpec.crafted_matrix(norms)}.get(kind, LossSpec(kind))
             for _ in range(10):
                 E = rng.normal(size=(7, k)) * float(rng.uniform(1e-3, 1e3))
@@ -370,13 +371,13 @@ class TestLossSpec:
     def test_bind_checks_the_shape_once(self, rng):
         norm = make_crafted_norm(rng.normal(size=6), seed=0)
         with pytest.raises(DimensionMismatch):
-            LossSpec.crafted(norm).bind((5, 1))
-        with pytest.raises(DimensionMismatch):
-            LossSpec.crafted(norm).bind((6, 2))
+            LossSpec.crafted_matrix([norm]).bind((5, 1))
         with pytest.raises(LengthMismatch):
             LossSpec.crafted_matrix([norm]).bind((6, 2))
+        with pytest.raises(LengthMismatch):
+            LossSpec.crafted_matrix([norm, norm]).bind((6, 1))
         with pytest.raises(InvalidArguments):
-            LossSpec("crafted").bind((6, 1))
+            LossSpec("crafted_matrix").bind((6, 1))
 
 
     def test_standard_kinds_match_numpy(self, rng):
@@ -390,8 +391,8 @@ class TestLossSpec:
 
     def test_crafted_needs_single_column(self, rng):
         norm = make_crafted_norm(rng.normal(size=6), seed=0)
-        with pytest.raises(DimensionMismatch):
-            LossSpec.crafted(norm).evaluate(rng.normal(size=(6, 2)))
+        with pytest.raises(LengthMismatch):
+            LossSpec.crafted_matrix([norm]).evaluate(rng.normal(size=(6, 2)))
 
     def test_unknown_kind(self):
         with pytest.raises(InvalidArguments):
@@ -423,7 +424,7 @@ class TestFit:
         p_star = rng.uniform(-6.0, 6.0, size=m + 1)
         anchor = residuals(model, data, p_star)[:, 0]
         norm = make_crafted_norm(anchor, seed=5)
-        result = fit(model, data, LossSpec.crafted(norm),
+        result = fit(model, data, LossSpec.crafted_matrix([norm]),
                      OptimizerConfig(start=p_star))
         assert result.converged
         assert_allclose(result.params, p_star, atol=1e-12)
@@ -439,7 +440,7 @@ class TestFit:
         data = Dataset(rng.normal(size=(4, 2)), rng.normal(size=(4, 1)))
         norm = make_crafted_norm(rng.normal(size=7), seed=0)
         with pytest.raises(DimensionMismatch):
-            fit(model, data, LossSpec.crafted(norm), OptimizerConfig(start=np.zeros(3)))
+            fit(model, data, LossSpec.crafted_matrix([norm]), OptimizerConfig(start=np.zeros(3)))
 
     def test_crafted_matrix_needs_one_norm_per_output(self, rng):
         model = linear_regression_model(2)
