@@ -86,6 +86,8 @@ def load_model_file(path) -> tuple[ParamModel, np.ndarray]:
         raise InvalidArguments(
             f"{path}: expected {model.param_dim} parameters, got {params.size}"
         )
+    if not np.isfinite(params).all():
+        raise InvalidArguments(f"{path}: parameters hold a NaN or infinite value")
     return model, params
 
 

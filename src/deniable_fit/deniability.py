@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
@@ -68,6 +69,16 @@ def substream(seed: int, *labels) -> np.random.Generator:
 # Record distributions and the deniability bound
 # ---------------------------------------------------------------------------
 
+def _is_finite(value) -> bool:
+    """True for integers of any size and for finite floats."""
+    return isinstance(value, numbers.Integral) or math.isfinite(value)
+
+
+def _require_finite(owner, *values) -> None:
+    if not all(_is_finite(v) for v in values):
+        raise InvalidArguments(f"{owner!r} needs finite values")
+
+
 @dataclass(frozen=True)
 class DiscreteUniform:
     """Uniform over the integers lo..hi inclusive."""
@@ -76,6 +87,7 @@ class DiscreteUniform:
     hi: int
 
     def __post_init__(self):
+        _require_finite(self, self.lo, self.hi)
         if self.hi < self.lo:
             raise NonPositiveSupport(f"empty integer range {self.lo}..{self.hi}")
 
@@ -88,6 +100,7 @@ class ContinuousUniform:
     hi: float
 
     def __post_init__(self):
+        _require_finite(self, self.lo, self.hi)
         if self.hi <= self.lo:
             raise NonPositiveSupport(f"empty interval [{self.lo}, {self.hi}]")
 
@@ -99,6 +112,7 @@ class Exponential:
     rate: float
 
     def __post_init__(self):
+        _require_finite(self, self.rate)
         if self.rate <= 0.0:
             raise NonPositiveSupport(f"rate must be positive, got {self.rate}")
 
@@ -139,8 +153,8 @@ def entropy_per_record(spec: DistributionSpec, resolution: float = DEFAULT_RESOL
     """
     if not spec.attributes:
         raise InvalidArguments("record needs at least one attribute")
-    if resolution <= 0.0:
-        raise InvalidArguments("resolution must be positive")
+    if not _is_finite(resolution) or resolution <= 0.0:
+        raise InvalidArguments("resolution must be positive and finite")
     return float(sum(_attribute_entropy(a, resolution) for a in spec.attributes))
 
 
@@ -170,6 +184,8 @@ def deniability_check(k_bits: float, entropy_bits: float, n: int) -> Deniability
     When more raw entropy enters the training set than the fitted model can
     store, the model cannot determine the data that produced it.
     """
+    if not (_is_finite(k_bits) and _is_finite(entropy_bits)):
+        raise InvalidArguments("k_bits and entropy_bits must be finite")
     if k_bits <= 0.0 or entropy_bits <= 0.0 or n < 1:
         raise InvalidArguments("need k_bits > 0, entropy_bits > 0, n >= 1")
     threshold = k_bits / entropy_bits
@@ -217,6 +233,30 @@ def generate_decoy(
 # ---------------------------------------------------------------------------
 # Denial certificates
 # ---------------------------------------------------------------------------
+
+# Without an indent, ``JSONEncoder.encode`` takes CPython's C encoder;
+# ``json.dump`` and any indent fall back to the pure-Python one.
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+
+
+def _write_compact(write, value) -> None:
+    """Write ``value`` as compact JSON, encoding each key, scalar and flat list in one call."""
+    if isinstance(value, dict):
+        write("{")
+        for i, (key, item) in enumerate(value.items()):
+            write(("," if i else "") + _COMPACT.encode(key) + ":")
+            _write_compact(write, item)
+        write("}")
+    elif isinstance(value, list) and value and isinstance(value[0], (list, dict)):
+        write("[")
+        for i, item in enumerate(value):
+            if i:
+                write(",")
+            _write_compact(write, item)
+        write("]")
+    else:
+        write(_COMPACT.encode(value))
+
 
 @dataclass(frozen=True, eq=False)
 class DenialCertificate:
@@ -292,14 +332,24 @@ class DenialCertificate:
         return cert
 
     def to_json(self, path) -> None:
+        """Write ``json.dumps(self.to_dict(), separators=(",", ":"))`` and a newline.
+
+        The text is streamed one matrix row at a time, so the file never
+        exists in memory as a whole.
+        """
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
+            _write_compact(fh.write, self.to_dict())
             fh.write("\n")
 
     @classmethod
     def from_json(cls, path) -> "DenialCertificate":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
+
+
+def _require_finite_params(p_star: np.ndarray) -> None:
+    if not np.isfinite(p_star).all():
+        raise InvalidArguments("p* holds a NaN or infinite value")
 
 
 def craft_denial(
@@ -321,10 +371,15 @@ def craft_denial(
     Raises ZeroResidual(j) when column j fits perfectly, and
     RankConditionViolated(j) when column j's residual is reachable by the
     model's tangent directions; resampling the decoy clears both in
-    practice (see ``craft_denial_resampling``).
+    practice (see ``craft_denial_resampling``).  A p* with a NaN or
+    infinite entry, or a ``zero_tol`` that is not positive and finite,
+    raises InvalidArguments.
     """
+    if not _is_finite(zero_tol) or zero_tol <= 0.0:
+        raise InvalidArguments("zero_tol must be positive and finite")
     p_star = np.asarray(p_star, dtype=float).reshape(-1)
-    E = residuals(model, decoy, p_star)
+    E = residuals(model, decoy, p_star)  # raises DimensionMismatch on a wrong p*
+    _require_finite_params(p_star)
     norms = []
     for j in range(E.shape[1]):
         e_j = E[:, j]
@@ -443,12 +498,15 @@ def verify_denial(
     norms' anchoring vectors) beyond 1e-9 raises CertificateTampered, as
     does a stored B that is not orthonormal or does not annihilate e.  Then
     refits under the certified norms from the certified start point and
-    reports the max per-coordinate deviation from p*.
+    reports the max per-coordinate deviation from p*.  A ``tolerance``
+    that is not positive and finite, or a p* with a NaN or infinite entry,
+    raises InvalidArguments.
     """
-    if tolerance <= 0.0:
-        raise InvalidArguments("tolerance must be positive")
+    if not _is_finite(tolerance) or tolerance <= 0.0:
+        raise InvalidArguments("tolerance must be positive and finite")
     p_star = np.asarray(p_star, dtype=float).reshape(-1)
     E = residuals(model, certificate.decoy, p_star)  # raises DimensionMismatch on a wrong p*
+    _require_finite_params(p_star)
     if E.shape != certificate.residual.shape:
         raise CertificateTampered("stored residual has the wrong shape")
     if float(np.max(np.abs(E - certificate.residual))) > INTEGRITY_TOL:

@@ -89,7 +89,7 @@ def nullspace_projector(e, zero_tol: float = DEFAULT_ZERO_TOL) -> ProjectionMatr
     n = e.size
     if n < 2:
         raise DimensionTooSmall(f"need at least 2 components, got {n}")
-    if zero_tol <= 0.0:
+    if not zero_tol > 0.0:  # also refuses NaN
         raise InvalidArguments("zero_tol must be positive")
     if not np.all(np.isfinite(e)):
         raise InvalidArguments("error vector must be finite")

@@ -109,6 +109,34 @@ class TestCraftAndVerify:
         assert main(["verify", str(cert_path), str(other_model)]) == 1
         capsys.readouterr()
 
+    def test_nan_tolerance_exits_1(self, workspace, capsys):
+        tmp, model_path, decoy_path, _ = workspace
+        cert_path = tmp / "cert.json"
+        main(["craft", str(model_path), str(decoy_path), str(cert_path), "--seed", "5"])
+        assert main(["verify", str(cert_path), str(model_path), "--tolerance", "nan"]) == 1
+        assert "InvalidArguments" in capsys.readouterr().err
+
+    def test_nan_zero_tol_exits_1(self, workspace, capsys):
+        tmp, model_path, decoy_path, _ = workspace
+        cert_path = tmp / "cert.json"
+        assert main(["craft", str(model_path), str(decoy_path), str(cert_path),
+                     "--zero-tol", "nan"]) == 1
+        assert "InvalidArguments" in capsys.readouterr().err
+        assert not cert_path.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_model_parameter_exits_1(self, workspace, capsys, value):
+        tmp, model_path, decoy_path, _ = workspace
+        cert_path = tmp / "cert.json"
+        main(["craft", str(model_path), str(decoy_path), str(cert_path), "--seed", "5"])
+        payload = json.loads(model_path.read_text())
+        payload["params"][2] = float(value)  # json writes NaN / Infinity
+        bad_path = tmp / "bad_model.json"
+        bad_path.write_text(json.dumps(payload))
+        assert main(["verify", str(cert_path), str(bad_path)]) == 1
+        assert main(["craft", str(bad_path), str(decoy_path), str(tmp / "c2.json")]) == 1
+        assert capsys.readouterr().err.count("NaN or infinite") == 2
+
     def test_mae_variant(self, workspace):
         tmp, model_path, decoy_path, _ = workspace
         cert_path = tmp / "cert.json"
@@ -144,6 +172,23 @@ class TestBound:
         assert main(["bound", "--k-bits", "512", "--n", "10",
                      "--entropy-bits", "3", "--dist", "du:1:8"]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ["--n", "5", "--dist", "cu:0:nan"],
+        ["--n", "1", "--dist", "cu:0:inf"],
+        ["--n", "5", "--dist", "exp:nan"],
+        ["--n", "5", "--dist", "cu:0:1", "--resolution", "nan"],
+        ["--n", "5", "--dist", "cu:0:1", "--resolution", "inf"],
+        ["--n", "5", "--entropy-bits", "nan"],
+        ["--n", "5", "--entropy-bits", "inf"],
+    ])
+    def test_non_finite_input_exits_1(self, capsys, argv):
+        assert main(["bound", "--k-bits", "10"] + argv) == 1
+        assert "InvalidArguments" in capsys.readouterr().err
+
+    def test_nan_k_bits_exits_1(self, capsys):
+        assert main(["bound", "--k-bits", "nan", "--n", "5", "--dist", "du:1:8"]) == 1
+        assert "InvalidArguments" in capsys.readouterr().err
 
     def test_parse_distribution_forms(self):
         spec = parse_distribution("du:1:8 x 10")

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from deniable_fit import (
     ContinuousUniform,
     Dataset,
     DenialCertificate,
+    DimensionMismatch,
     DiscreteUniform,
     DistributionSpec,
     Exponential,
@@ -81,6 +83,29 @@ class TestEntropy:
         with pytest.raises(InvalidArguments):
             entropy_per_record(DistributionSpec(()))
 
+    @pytest.mark.parametrize("make", [
+        lambda: DiscreteUniform(0, math.nan),
+        lambda: DiscreteUniform(-math.inf, 3),
+        lambda: ContinuousUniform(0.0, math.nan),
+        lambda: ContinuousUniform(math.nan, 1.0),
+        lambda: ContinuousUniform(0.0, math.inf),
+        lambda: Exponential(math.nan),
+        lambda: Exponential(math.inf),
+    ])
+    def test_non_finite_bounds_rejected(self, make):
+        with pytest.raises(InvalidArguments):
+            make()
+
+    def test_huge_integer_range_is_finite(self):
+        spec = DistributionSpec((DiscreteUniform(0, 2 ** 1100 - 1),))
+        assert entropy_per_record(spec) == pytest.approx(1100.0)
+
+    @pytest.mark.parametrize("resolution", [math.nan, math.inf])
+    def test_non_finite_resolution_rejected(self, resolution):
+        spec = DistributionSpec((ContinuousUniform(0.0, 1.0),))
+        with pytest.raises(InvalidArguments):
+            entropy_per_record(spec, resolution=resolution)
+
 
 class TestDeniabilityCheck:
     def test_ten_records_cannot_hide_a_512_bit_model_at_33_bits_each(self):
@@ -116,6 +141,13 @@ class TestDeniabilityCheck:
             deniability_check(512, 0.0, 10)
         with pytest.raises(InvalidArguments):
             deniability_check(512, 3, 0)
+
+    @pytest.mark.parametrize("k_bits, entropy_bits", [
+        (math.nan, 3.0), (math.inf, 3.0), (512, math.nan), (512, math.inf),
+    ])
+    def test_non_finite_arguments_rejected(self, k_bits, entropy_bits):
+        with pytest.raises(InvalidArguments):
+            deniability_check(k_bits, entropy_bits, 10)
 
 
 class TestGenerateDecoy:
@@ -223,6 +255,20 @@ class TestCraftDenial:
         with pytest.raises(RankConditionViolated):
             craft_denial(model, p_star, Dataset(X, Y), seed=0)
 
+    @pytest.mark.parametrize("zero_tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_zero_tol_rejected(self, rng, zero_tol):
+        model, p_star, decoy = small_problem(rng)
+        with pytest.raises(InvalidArguments):
+            craft_denial(model, p_star, decoy, seed=0, zero_tol=zero_tol)
+
+    def test_non_finite_p_star_rejected(self, rng):
+        model, p_star, decoy = small_problem(rng)
+        p_star[2] = math.nan
+        with pytest.raises(InvalidArguments):
+            craft_denial(model, p_star, decoy, seed=0)
+        with pytest.raises(DimensionMismatch):  # the shape is checked first
+            craft_denial(model, p_star[:-1], decoy, seed=0)
+
     def test_resampling_retries_until_craftable(self, rng):
         model, p_star, _ = small_problem(rng)
         cert = craft_denial_resampling(
@@ -258,6 +304,23 @@ class TestVerifyDenial:
         assert before.final_loss == after.final_loss
         assert before.iterations == after.iterations
         assert before.passed == after.passed
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, 0.0])
+    def test_bad_tolerance_rejected(self, rng, tolerance):
+        model, p_star, decoy = small_problem(rng)
+        cert = craft_denial(model, p_star, decoy, seed=1)
+        with pytest.raises(InvalidArguments):
+            verify_denial(cert, model, p_star, tolerance=tolerance)
+
+    def test_non_finite_p_star_rejected(self, rng):
+        model, p_star, decoy = small_problem(rng)
+        cert = craft_denial(model, p_star, decoy, seed=1)
+        bad = p_star.copy()
+        bad[0] = math.inf
+        with pytest.raises(InvalidArguments):
+            verify_denial(cert, model, bad)
+        with pytest.raises(DimensionMismatch):  # the shape is checked first
+            verify_denial(cert, model, bad[:-1])
 
     def test_tampered_residual_detected(self, rng):
         model, p_star, decoy = small_problem(rng)
@@ -359,6 +422,53 @@ class TestCertificateLoading:
         payload["decoy"]["inputs"][2][1] = float("nan")
         with pytest.raises(InvalidArguments):
             DenialCertificate.from_dict(payload)
+
+
+def _certificate(rng, outputs, n, variant):
+    if outputs == 1:
+        model, p_star, decoy = small_problem(rng, n=n)
+    else:
+        model = two_output_linear_model(3)
+        p_star = rng.uniform(-3.0, 3.0, size=4)
+        decoy = Dataset(rng.uniform(1.0, 8.0, size=(n, 3)), rng.uniform(1.0, 8.0, size=(n, 2)))
+    return model, p_star, craft_denial(model, p_star, decoy, seed=4, inner_variant=variant)
+
+
+class TestCertificateWriting:
+    @pytest.mark.parametrize("variant", ["euclidean", "one_norm"])
+    @pytest.mark.parametrize("outputs", [1, 2])
+    @pytest.mark.parametrize("n", [10, 200])
+    def test_file_is_compact_json_of_to_dict(self, rng, tmp_path, variant, outputs, n):
+        _, _, cert = _certificate(rng, outputs, n, variant)
+        path = tmp_path / "cert.json"
+        cert.to_json(path)
+        expected = json.dumps(cert.to_dict(), separators=(",", ":")) + "\n"
+        assert path.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("variant", ["euclidean", "one_norm"])
+    @pytest.mark.parametrize("outputs", [1, 2])
+    def test_reload_replays_to_the_same_report(self, rng, tmp_path, variant, outputs):
+        model, p_star, cert = _certificate(rng, outputs, 10, variant)
+        path = tmp_path / "cert.json"
+        cert.to_json(path)
+        clone = DenialCertificate.from_json(path)
+        assert clone.to_dict() == cert.to_dict()
+        before = verify_denial(cert, model, p_star).to_dict()
+        assert verify_denial(clone, model, p_star).to_dict() == before
+
+    def test_write_streams_instead_of_building_the_text(self, rng, tmp_path):
+        # Joining the whole text first peaks near 3x the payload; row by row stays near 1x.
+        _, _, cert = _certificate(rng, 1, 200, "euclidean")
+        tracemalloc.start()
+        try:
+            cert.to_dict()
+            payload_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            cert.to_json(tmp_path / "cert.json")
+            write_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert write_peak <= 1.25 * payload_peak
 
 
 class TestAdversaryRecover:

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from deniable_fit import (
     DimensionMismatch,
     DimensionTooSmall,
+    InvalidArguments,
     ZeroErrorVector,
     nullspace_projector,
     numerical_rank,
@@ -38,6 +39,11 @@ class TestNullspaceProjector:
     def test_scalar_rejected(self):
         with pytest.raises(DimensionTooSmall):
             nullspace_projector([3.0])
+
+    @pytest.mark.parametrize("zero_tol", [0.0, -1.0, float("nan")])
+    def test_bad_zero_tol_rejected(self, zero_tol):
+        with pytest.raises(InvalidArguments):
+            nullspace_projector([1.0, 2.0], zero_tol=zero_tol)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 11, 30])
     def test_annihilation_and_orthonormal_rows(self, n, rng):
