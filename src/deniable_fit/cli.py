@@ -26,6 +26,7 @@ from .deniability import (
     ContinuousUniform,
     DEFAULT_RESOLUTION,
     DEFAULT_TOLERANCE,
+    SEED_LIMIT,
     DenialCertificate,
     DiscreteUniform,
     DistributionSpec,
@@ -67,7 +68,7 @@ def _resolve_seed(value: Optional[int]) -> int:
             seed = int(raw) if raw is not None else 0
         except ValueError:
             raise InvalidArguments(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
-    if not 0 <= seed < 2 ** 64:
+    if not 0 <= seed < SEED_LIMIT:
         raise InvalidArguments("seed must fit in 64 unsigned bits")
     return seed
 

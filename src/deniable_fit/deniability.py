@@ -11,13 +11,13 @@ true training data cannot be pinned down from the model alone.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import numbers
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 import numpy as np
+import orjson
 
 from .errors import (
     CertificateTampered,
@@ -49,6 +49,9 @@ DEFAULT_TOLERANCE = 5e-3
 VERIFY_START_SCALE = 1e-2
 
 DECOY_RESAMPLE_ATTEMPTS = 10
+
+# Seeds are unsigned 64-bit integers: 0 <= seed < SEED_LIMIT.
+SEED_LIMIT = 2 ** 64
 
 
 def derive_seed(seed: int, *labels) -> int:
@@ -188,7 +191,12 @@ def deniability_check(k_bits: float, entropy_bits: float, n: int) -> Deniability
         raise InvalidArguments("k_bits and entropy_bits must be finite")
     if k_bits <= 0.0 or entropy_bits <= 0.0 or n < 1:
         raise InvalidArguments("need k_bits > 0, entropy_bits > 0, n >= 1")
-    threshold = k_bits / entropy_bits
+    try:
+        threshold = k_bits / entropy_bits
+    except OverflowError:  # an integer k_bits beyond float range
+        threshold = math.inf
+    if not math.isfinite(threshold):
+        raise InvalidArguments(f"k_bits / entropy_bits overflows: {k_bits!r} / {entropy_bits!r}")
     return DeniabilityReport(
         k_bits=float(k_bits),
         entropy_per_record_bits=float(entropy_bits),
@@ -234,28 +242,39 @@ def generate_decoy(
 # Denial certificates
 # ---------------------------------------------------------------------------
 
-# Without an indent, ``JSONEncoder.encode`` takes CPython's C encoder;
-# ``json.dump`` and any indent fall back to the pure-Python one.
-_COMPACT = json.JSONEncoder(separators=(",", ":"))
-
-
 def _write_compact(write, value) -> None:
-    """Write ``value`` as compact JSON, encoding each key, scalar and flat list in one call."""
+    """Write ``value`` as compact JSON bytes, one key, scalar, flat list or matrix row per call.
+
+    A numpy array is encoded from its buffer, so a matrix is never turned
+    into Python floats.
+    """
     if isinstance(value, dict):
-        write("{")
+        write(b"{")
         for i, (key, item) in enumerate(value.items()):
-            write(("," if i else "") + _COMPACT.encode(key) + ":")
+            write((b"," if i else b"") + orjson.dumps(key) + b":")
             _write_compact(write, item)
-        write("}")
-    elif isinstance(value, list) and value and isinstance(value[0], (list, dict)):
-        write("[")
+        write(b"}")
+    elif (isinstance(value, (list, np.ndarray)) and len(value)
+          and isinstance(value[0], (list, dict, np.ndarray))):
+        write(b"[")
         for i, item in enumerate(value):
             if i:
-                write(",")
+                write(b",")
             _write_compact(write, item)
-        write("]")
+        write(b"]")
     else:
-        write(_COMPACT.encode(value))
+        if isinstance(value, np.ndarray):
+            value = np.ascontiguousarray(value)  # orjson reads C-ordered buffers only
+        write(orjson.dumps(value, option=orjson.OPT_SERIALIZE_NUMPY))
+
+
+def _plain(value):
+    """``value`` with every numpy array turned into (nested) lists."""
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_plain(item) for item in value]
+    return value.tolist() if isinstance(value, np.ndarray) else value
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,7 +283,10 @@ class DenialCertificate:
 
     Holds the decoy dataset, one crafted norm per output column, the
     residual matrix at p*, and the exact optimizer configuration for the
-    replay, including its seeded start point.
+    replay, including its seeded start point.  Every number must be finite
+    and ``seed`` must be None or an integer in [0, 2**64), so that the
+    certificate file states each value exactly; anything else raises
+    InvalidArguments.
     """
 
     decoy: Dataset
@@ -285,27 +307,42 @@ class DenialCertificate:
             raise LengthMismatch(
                 f"{len(self.norms)} norms for {residual.shape[1]} residual columns"
             )
+        seed = self.seed
+        if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)
+                                 or not 0 <= seed < SEED_LIMIT):
+            raise InvalidArguments(f"seed must be None or an integer in [0, 2**64), got {seed!r}")
+        config = self.optimizer_config
+        arrays = [self.decoy.inputs, self.decoy.responses, residual, config.start]
+        scalars = [config.simplex_scale, config.convergence_tol]
+        for nm in self.norms:
+            arrays += [nm.projector.rows, nm.projector.source_error, nm.w1]
+            scalars.append(nm.alpha)
+        if not (all(np.isfinite(a).all() for a in arrays) and all(map(_is_finite, scalars))):
+            raise InvalidArguments("certificate holds a NaN or infinite value")
 
     def loss_spec(self) -> LossSpec:
         return LossSpec.crafted_matrix(self.norms)
 
-    def to_dict(self) -> dict:
+    def _fields(self) -> dict:
+        """The entries of ``to_dict()``, with the arrays left as numpy arrays."""
         return {
             "schema": CERT_SCHEMA,
             "seed": self.seed,
             "model": dict(self.model_descriptor),
-            "decoy": {
-                "inputs": self.decoy.inputs.tolist(),
-                "responses": self.decoy.responses.tolist(),
-            },
-            "residual": self.residual.tolist(),
-            "norms": [nm.to_dict() for nm in self.norms],
+            "decoy": {"inputs": self.decoy.inputs, "responses": self.decoy.responses},
+            "residual": self.residual,
+            "norms": [nm.fields() for nm in self.norms],
             "optimizer": self.optimizer_config.to_dict(),
         }
+
+    def to_dict(self) -> dict:
+        return _plain(self._fields())
 
     @classmethod
     def from_dict(cls, payload: dict) -> "DenialCertificate":
         """Load a certificate, raising InvalidArguments when it is malformed."""
+        if not isinstance(payload, dict):
+            raise InvalidArguments(f"a certificate is a JSON object, got {type(payload).__name__}")
         schema = payload.get("schema")
         if schema != CERT_SCHEMA:
             raise InvalidArguments(f"unsupported certificate schema {schema!r}")
@@ -322,29 +359,32 @@ class DenialCertificate:
                 model_descriptor=dict(payload["model"]),
                 seed=payload.get("seed"),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidArguments(f"malformed certificate: {exc!r}") from None
-        arrays = [decoy.inputs, decoy.responses, cert.residual]
-        for nm in cert.norms:
-            arrays += [nm.projector.rows, nm.projector.source_error, nm.w1, nm.alpha]
-        if not all(np.all(np.isfinite(a)) for a in arrays):
-            raise InvalidArguments("certificate holds a NaN or infinite value")
         return cert
 
     def to_json(self, path) -> None:
-        """Write ``json.dumps(self.to_dict(), separators=(",", ":"))`` and a newline.
+        """Write ``self.to_dict()`` as one line of compact JSON and a newline.
 
-        The text is streamed one matrix row at a time, so the file never
-        exists in memory as a whole.
+        Floats are written by orjson's shortest round-trip (Ryu) formatter,
+        so every JSON parser reads back the same float64 values.  The text is
+        streamed one matrix row at a time straight from the arrays, so
+        neither the text nor ``to_dict()`` ever exists in memory as a whole.
         """
-        with open(path, "w") as fh:
-            _write_compact(fh.write, self.to_dict())
-            fh.write("\n")
+        with open(path, "wb") as fh:
+            _write_compact(fh.write, self._fields())
+            fh.write(b"\n")
 
     @classmethod
     def from_json(cls, path) -> "DenialCertificate":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        """Load a certificate file, raising InvalidArguments unless it is valid JSON."""
+        with open(path, "rb") as fh:
+            text = fh.read()
+        try:
+            payload = orjson.loads(text)
+        except orjson.JSONDecodeError as exc:
+            raise InvalidArguments(f"{path}: not a JSON certificate: {exc}") from None
+        return cls.from_dict(payload)
 
 
 def _require_finite_params(p_star: np.ndarray) -> None:

@@ -98,14 +98,19 @@ class CraftedNorm:
         if not 0.0 < self.alpha <= b_w1 * (1.0 + 1e-9):
             raise InvalidArguments("alpha must sit in (0, b(w1)]")
 
-    def to_dict(self) -> dict:
+    def fields(self) -> dict:
+        """The entries of ``to_dict()``, with the arrays left as numpy arrays."""
         return {
-            "b_rows": self.projector.rows.tolist(),
-            "source_error": self.projector.source_error.tolist(),
-            "w1": self.w1.tolist(),
+            "b_rows": self.projector.rows,
+            "source_error": self.projector.source_error,
+            "w1": self.w1,
             "alpha": self.alpha,
             "variant": self.inner_variant,
         }
+
+    def to_dict(self) -> dict:
+        return {key: value.tolist() if isinstance(value, np.ndarray) else value
+                for key, value in self.fields().items()}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "CraftedNorm":

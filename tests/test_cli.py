@@ -190,6 +190,12 @@ class TestBound:
         assert main(["bound", "--k-bits", "nan", "--n", "5", "--dist", "du:1:8"]) == 1
         assert "InvalidArguments" in capsys.readouterr().err
 
+    def test_overflowing_threshold_exits_1(self, capsys):
+        assert main(["bound", "--k-bits", "1e308", "--n", "5", "--entropy-bits", "1e-308"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "InvalidArguments" in captured.err
+
     def test_parse_distribution_forms(self):
         spec = parse_distribution("du:1:8 x 10")
         assert spec.attributes == tuple(DiscreteUniform(1, 8) for _ in range(10))

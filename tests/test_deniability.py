@@ -1,8 +1,12 @@
+import dataclasses
 import json
 import math
+import re
+import struct
 import tracemalloc
 
 import numpy as np
+import orjson
 import pytest
 from numpy.testing import assert_allclose
 
@@ -148,6 +152,11 @@ class TestDeniabilityCheck:
     def test_non_finite_arguments_rejected(self, k_bits, entropy_bits):
         with pytest.raises(InvalidArguments):
             deniability_check(k_bits, entropy_bits, 10)
+
+    @pytest.mark.parametrize("k_bits, entropy_bits", [(1e308, 1e-308), (10 ** 400, 1.0)])
+    def test_overflowing_threshold_rejected(self, k_bits, entropy_bits):
+        with pytest.raises(InvalidArguments):
+            deniability_check(k_bits, entropy_bits, 5)
 
 
 class TestGenerateDecoy:
@@ -423,6 +432,83 @@ class TestCertificateLoading:
         with pytest.raises(InvalidArguments):
             DenialCertificate.from_dict(payload)
 
+    def test_number_beyond_float_range_rejected(self, rng):
+        model, p_star, decoy = small_problem(rng)
+        payload = craft_denial(model, p_star, decoy, seed=1).to_dict()
+        payload["norms"][0]["alpha"] = 10 ** 400
+        with pytest.raises(InvalidArguments):
+            DenialCertificate.from_dict(payload)
+
+    @pytest.mark.parametrize("seed", [1.5, "7", True, -1, 2 ** 64, np.int64(7)])
+    def test_bad_seed_rejected(self, rng, seed):
+        model, p_star, decoy = small_problem(rng)
+        payload = craft_denial(model, p_star, decoy, seed=1).to_dict()
+        payload["seed"] = seed
+        with pytest.raises(InvalidArguments):
+            DenialCertificate.from_dict(payload)
+
+    def test_not_an_object_rejected(self, tmp_path):
+        path = tmp_path / "cert.json"
+        path.write_text("[1, 2]\n")
+        with pytest.raises(InvalidArguments):
+            DenialCertificate.from_json(path)
+
+    @pytest.mark.parametrize("damage", ["nan", "infinity", "truncated", "empty"])
+    def test_text_that_is_not_json_rejected(self, rng, tmp_path, capsys, damage):
+        model, p_star, decoy = small_problem(rng)
+        cert = craft_denial(model, p_star, decoy, seed=1)
+        cert_path, model_path = tmp_path / "cert.json", tmp_path / "model.json"
+        cert.to_json(cert_path)
+        write_model_file(model_path, 5, p_star)
+        payload = cert.to_dict()
+        if damage == "nan":
+            payload["residual"][0][0] = math.nan
+            cert_path.write_text(json.dumps(payload))
+        elif damage == "infinity":
+            payload["norms"][0]["alpha"] = -math.inf
+            cert_path.write_text(json.dumps(payload))
+        elif damage == "truncated":
+            text = cert_path.read_bytes()
+            cert_path.write_bytes(text[: len(text) // 2])
+        else:
+            cert_path.write_bytes(b"")
+        with pytest.raises(InvalidArguments):
+            DenialCertificate.from_json(cert_path)
+        assert main(["verify", str(cert_path), str(model_path)]) == 1
+        assert "not a JSON certificate" in capsys.readouterr().err
+
+
+class TestCertificateValues:
+    def test_non_finite_residual_rejected(self, rng):
+        model, p_star, decoy = small_problem(rng)
+        cert = craft_denial(model, p_star, decoy, seed=1)
+        residual = cert.residual.copy()
+        residual[4, 0] = math.nan
+        with pytest.raises(InvalidArguments):
+            dataclasses.replace(cert, residual=residual)
+
+    @pytest.mark.parametrize("field", ["simplex_scale", "convergence_tol"])
+    def test_non_finite_optimizer_setting_rejected(self, rng, field):
+        model, p_star, decoy = small_problem(rng)
+        cert = craft_denial(model, p_star, decoy, seed=1)
+        config = dataclasses.replace(cert.optimizer_config, **{field: math.inf})
+        with pytest.raises(InvalidArguments):
+            dataclasses.replace(cert, optimizer_config=config)
+
+    @pytest.mark.parametrize("seed", [2 ** 64, -1])
+    def test_craft_refuses_a_seed_beyond_64_bits(self, rng, seed):
+        model, p_star, decoy = small_problem(rng)
+        with pytest.raises(InvalidArguments):
+            craft_denial(model, p_star, decoy, seed=seed)
+
+    @pytest.mark.parametrize("seed", [None, 0, 2 ** 64 - 1])
+    def test_seed_round_trips(self, rng, tmp_path, seed):
+        model, p_star, decoy = small_problem(rng)
+        cert = dataclasses.replace(craft_denial(model, p_star, decoy, seed=1), seed=seed)
+        path = tmp_path / "cert.json"
+        cert.to_json(path)
+        assert DenialCertificate.from_json(path).seed == cert.seed
+
 
 def _certificate(rng, outputs, n, variant):
     if outputs == 1:
@@ -434,6 +520,17 @@ def _certificate(rng, outputs, n, variant):
     return model, p_star, craft_denial(model, p_star, decoy, seed=4, inner_variant=variant)
 
 
+def _bits(value):
+    """``value`` with each float replaced by its float64 bit pattern and each other scalar typed."""
+    if isinstance(value, dict):
+        return {key: _bits(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_bits(item) for item in value]
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    return type(value), value
+
+
 class TestCertificateWriting:
     @pytest.mark.parametrize("variant", ["euclidean", "one_norm"])
     @pytest.mark.parametrize("outputs", [1, 2])
@@ -442,8 +539,33 @@ class TestCertificateWriting:
         _, _, cert = _certificate(rng, outputs, n, variant)
         path = tmp_path / "cert.json"
         cert.to_json(path)
-        expected = json.dumps(cert.to_dict(), separators=(",", ":")) + "\n"
-        assert path.read_bytes() == expected.encode()
+        text = path.read_bytes()
+        expected = _bits(cert.to_dict())
+        assert _bits(json.loads(text)) == expected
+        assert _bits(orjson.loads(text)) == expected
+        assert text.endswith(b"\n")
+        assert not re.search(rb"\s", text[:-1])
+
+    def test_fortran_ordered_arrays_are_written(self, rng, tmp_path):
+        _, _, cert = _certificate(rng, 2, 10, "euclidean")
+        decoy = Dataset(*(np.asfortranarray(a) for a in (cert.decoy.inputs, cert.decoy.responses)))
+        clone = dataclasses.replace(cert, decoy=decoy, residual=np.asfortranarray(cert.residual))
+        assert not clone.residual.flags.c_contiguous
+        path = tmp_path / "cert.json"
+        clone.to_json(path)
+        assert _bits(json.loads(path.read_bytes())) == _bits(cert.to_dict())
+
+    @pytest.mark.parametrize("variant", ["euclidean", "one_norm"])
+    @pytest.mark.parametrize("outputs", [1, 2])
+    @pytest.mark.parametrize("indent", [None, 2])
+    def test_files_of_earlier_writers_load(self, rng, tmp_path, variant, outputs, indent):
+        # Earlier versions wrote the stdlib's compact text, and before that indent=2.
+        _, _, cert = _certificate(rng, outputs, 40, variant)
+        path = tmp_path / "cert.json"
+        with open(path, "w") as fh:
+            json.dump(cert.to_dict(), fh, indent=indent, separators=None if indent else (",", ":"))
+            fh.write("\n")
+        assert _bits(DenialCertificate.from_json(path).to_dict()) == _bits(cert.to_dict())
 
     @pytest.mark.parametrize("variant", ["euclidean", "one_norm"])
     @pytest.mark.parametrize("outputs", [1, 2])

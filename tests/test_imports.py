@@ -1,15 +1,20 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and declares what it needs.
 
-``__init__.py`` is exempt: its imports are the public re-exports.  An import
-whose line carries ``# noqa: F401`` is kept on purpose and says why there.
+``__init__.py`` is exempt from the unused-name scan: its imports are the
+public re-exports.  An import whose line carries ``# noqa: F401`` is kept on
+purpose and says why there.  Every top-level module that the package imports
+from outside the standard library is a dependency in ``pyproject.toml``.
 """
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "deniable_fit"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "deniable_fit"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -67,3 +72,35 @@ def test_scan_flags_an_unused_name():
     assert unused_imports(source) == [(1, "Sequence")]
     kept = "import os  # noqa: F401\n"
     assert unused_imports(kept) == []
+
+
+def third_party_imports(source: str) -> set:
+    """Top-level names of the absolute imports in ``source`` outside the standard library."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names)
+
+
+def undeclared_imports(sources, dependencies) -> list:
+    """Third-party modules imported by ``sources`` that no requirement in ``dependencies`` names."""
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower().replace("-", "_")
+                for dep in dependencies}
+    imported = set().union(*(third_party_imports(source) for source in sources))
+    return sorted(imported - declared)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_third_party_imports_are_declared():
+    import tomllib
+
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        dependencies = tomllib.load(fh)["project"]["dependencies"]
+    sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
+    assert undeclared_imports(sources, dependencies) == []
+    # The check sees each runtime dependency: dropping one from the list fails it.
+    without_orjson = [d for d in dependencies if not d.startswith("orjson")]
+    assert undeclared_imports(sources, without_orjson) == ["orjson"]
