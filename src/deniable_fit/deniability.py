@@ -3,7 +3,7 @@
 The central claim being operationalized: given a fitted model with
 parameters p*, one can pick unrelated decoy training data and construct an
 error norm under which that decoy retrains to exactly p*.  A certificate
-packages the decoy, the norms, and the optimizer settings so anyone can
+packages the decoy, the norms, and the replay's start point so anyone can
 replay the retraining.  The information-theoretic side quantifies when the
 true training data cannot be pinned down from the model alone.
 """
@@ -22,6 +22,7 @@ import orjson
 from .errors import (
     CertificateTampered,
     DeniableFitError,
+    DimensionMismatch,
     InvalidArguments,
     LengthMismatch,
     NonPositiveSupport,
@@ -33,7 +34,7 @@ from .models import Dataset, ParamModel, jacobian, linear_regression_model, resi
 from .norms import VARIANT_EUCLIDEAN, CraftedNorm, make_crafted_norm
 from .training import FittedModel, LossSpec, OptimizerConfig, fit
 
-CERT_SCHEMA = "denial-cert/2"
+CERT_SCHEMA = "denial-cert/3"
 
 # Quantization resolution for continuous attributes: entropy is reported
 # for values discretized to this grid.
@@ -282,17 +283,18 @@ class DenialCertificate:
     """Everything needed to replay "this decoy retrains to p*".
 
     Holds the decoy dataset, one crafted norm per output column, the
-    residual matrix at p*, and the exact optimizer configuration for the
-    replay, including its seeded start point.  Every number must be finite
-    and ``seed`` must be None or an integer in [0, 2**64), so that the
-    certificate file states each value exactly; anything else raises
-    InvalidArguments.
+    residual matrix at p*, and the seeded start point of the replay, which
+    runs with the package's default optimizer settings.  Every number must
+    be finite and ``seed`` must be None or an integer in [0, 2**64), so that
+    the certificate file states each value exactly; anything else raises
+    InvalidArguments.  A norm whose dimension differs from the residual's
+    row count raises DimensionMismatch.
     """
 
     decoy: Dataset
     norms: Tuple[CraftedNorm, ...]
     residual: np.ndarray
-    optimizer_config: OptimizerConfig
+    start: np.ndarray
     model_descriptor: dict
     seed: Optional[int] = None
 
@@ -301,7 +303,10 @@ class DenialCertificate:
         if residual.ndim == 1:
             residual = residual[:, None]
         residual.setflags(write=False)
+        start = np.array(self.start, dtype=float).reshape(-1)
+        start.setflags(write=False)
         object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "start", start)
         object.__setattr__(self, "norms", tuple(self.norms))
         if len(self.norms) != residual.shape[1]:
             raise LengthMismatch(
@@ -311,12 +316,14 @@ class DenialCertificate:
         if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)
                                  or not 0 <= seed < SEED_LIMIT):
             raise InvalidArguments(f"seed must be None or an integer in [0, 2**64), got {seed!r}")
-        config = self.optimizer_config
-        arrays = [self.decoy.inputs, self.decoy.responses, residual, config.start]
-        scalars = [config.simplex_scale, config.convergence_tol]
-        for nm in self.norms:
-            arrays += [nm.projector.rows, nm.projector.source_error, nm.w1]
-            scalars.append(nm.alpha)
+        arrays = [self.decoy.inputs, self.decoy.responses, residual, start]
+        for j, nm in enumerate(self.norms):
+            if nm.dim != residual.shape[0]:
+                raise DimensionMismatch(
+                    f"norm {j} has dimension {nm.dim}, the residual has {residual.shape[0]} rows"
+                )
+            arrays += [nm.b_rows, nm.w1]
+        scalars = [nm.alpha for nm in self.norms]
         if not (all(np.isfinite(a).all() for a in arrays) and all(map(_is_finite, scalars))):
             raise InvalidArguments("certificate holds a NaN or infinite value")
 
@@ -331,8 +338,11 @@ class DenialCertificate:
             "model": dict(self.model_descriptor),
             "decoy": {"inputs": self.decoy.inputs, "responses": self.decoy.responses},
             "residual": self.residual,
-            "norms": [nm.fields() for nm in self.norms],
-            "optimizer": self.optimizer_config.to_dict(),
+            "norms": [
+                {"b_rows": nm.b_rows, "w1": nm.w1, "alpha": nm.alpha, "variant": nm.inner_variant}
+                for nm in self.norms
+            ],
+            "start": self.start,
         }
 
     def to_dict(self) -> dict:
@@ -340,7 +350,11 @@ class DenialCertificate:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "DenialCertificate":
-        """Load a certificate, raising InvalidArguments when it is malformed."""
+        """Load a certificate, raising InvalidArguments when it is malformed.
+
+        Each norm's construction invariants are checked against its column
+        of the stored residual.
+        """
         if not isinstance(payload, dict):
             raise InvalidArguments(f"a certificate is a JSON object, got {type(payload).__name__}")
         schema = payload.get("schema")
@@ -351,16 +365,28 @@ class DenialCertificate:
                 inputs=np.asarray(payload["decoy"]["inputs"], dtype=float),
                 responses=np.asarray(payload["decoy"]["responses"], dtype=float),
             )
+            norms = tuple(
+                CraftedNorm(
+                    b_rows=np.asarray(d["b_rows"], dtype=float),
+                    w1=np.asarray(d["w1"], dtype=float),
+                    alpha=float(d["alpha"]),
+                    inner_variant=str(d["variant"]),
+                )
+                for d in payload["norms"]
+            )
             cert = cls(
                 decoy=decoy,
-                norms=tuple(CraftedNorm.from_dict(d) for d in payload["norms"]),
+                norms=norms,
                 residual=np.asarray(payload["residual"], dtype=float),
-                optimizer_config=OptimizerConfig.from_dict(payload["optimizer"]),
+                start=np.asarray(payload["start"], dtype=float),
                 model_descriptor=dict(payload["model"]),
                 seed=payload.get("seed"),
             )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError,
+                DimensionMismatch, LengthMismatch) as exc:
             raise InvalidArguments(f"malformed certificate: {exc!r}") from None
+        for j, nm in enumerate(cert.norms):
+            nm.validate(cert.residual[:, j])
         return cert
 
     def to_json(self, path) -> None:
@@ -442,7 +468,7 @@ def craft_denial(
         decoy=decoy,
         norms=tuple(norms),
         residual=E,
-        optimizer_config=OptimizerConfig(start=start),
+        start=start,
         model_descriptor=model.descriptor(),
         seed=int(seed),
     )
@@ -534,13 +560,13 @@ def verify_denial(
     """Replay the certified retraining and compare against p*.
 
     First recomputes the residuals from the certificate's own decoy and
-    model parameters; any mismatch with the stored residual (or with the
-    norms' anchoring vectors) beyond 1e-9 raises CertificateTampered, as
-    does a stored B that is not orthonormal or does not annihilate e.  Then
-    refits under the certified norms from the certified start point and
-    reports the max per-coordinate deviation from p*.  A ``tolerance``
-    that is not positive and finite, or a p* with a NaN or infinite entry,
-    raises InvalidArguments.
+    model parameters; any mismatch with the stored residual beyond 1e-9
+    raises CertificateTampered, as does a stored B that is not orthonormal
+    or does not annihilate its column of the stored residual.  Then refits
+    under the certified norms from the certified start point, with the
+    default optimizer settings, and reports the max per-coordinate
+    deviation from p*.  A ``tolerance`` that is not positive and finite, or
+    a p* with a NaN or infinite entry, raises InvalidArguments.
     """
     if not _is_finite(tolerance) or tolerance <= 0.0:
         raise InvalidArguments("tolerance must be positive and finite")
@@ -552,15 +578,13 @@ def verify_denial(
     if float(np.max(np.abs(E - certificate.residual))) > INTEGRITY_TOL:
         raise CertificateTampered("stored residual does not match recomputation")
     for j, nm in enumerate(certificate.norms):
-        anchor = nm.projector.source_error
-        if anchor.size != E.shape[0] or float(np.max(np.abs(anchor - E[:, j]))) > INTEGRITY_TOL:
-            raise CertificateTampered(f"norm {j} is not anchored on the residual")
-        B = nm.projector.rows
-        annihilates = np.max(np.abs(B @ anchor)) <= INTEGRITY_TOL * max(1.0, np.linalg.norm(anchor))
+        e, B = certificate.residual[:, j], nm.b_rows
+        annihilates = np.max(np.abs(B @ e)) <= INTEGRITY_TOL * max(1.0, np.linalg.norm(e))
         if not annihilates or np.max(np.abs(B @ B.T - np.eye(len(B)))) > INTEGRITY_TOL:
             raise CertificateTampered(f"norm {j}: stored B is not an orthonormal annihilator of e")
 
-    result: FittedModel = fit(model, certificate.decoy, certificate.loss_spec(), certificate.optimizer_config)
+    config = OptimizerConfig(start=certificate.start)
+    result: FittedModel = fit(model, certificate.decoy, certificate.loss_spec(), config)
     diff = float(np.max(np.abs(result.params - p_star)))
     return VerificationReport(
         refit_params=result.params,

@@ -6,7 +6,6 @@ values can be shared freely across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -22,54 +21,13 @@ from .errors import (
 DEFAULT_ZERO_TOL = 1e-12
 
 
-def _readonly(values, dtype=float) -> np.ndarray:
-    # C layout keeps matrix products bit-reproducible after serialization
-    # round trips (BLAS kernels vary with strides).
-    arr = np.array(values, dtype=dtype, order="C")
-    arr.setflags(write=False)
-    return arr
-
-
-@dataclass(frozen=True, eq=False)
-class ProjectionMatrix:
-    """Orthonormal coordinate map onto the complement of one direction.
-
-    Attributes
-    ----------
-    rows : (n-1, n) ndarray
-        Matrix B with orthonormal rows whose nullspace is exactly the span
-        of ``source_error``.  Applying it to a vector expresses the
-        component orthogonal to that direction in an orthonormal basis.
-    source_error : (n,) ndarray
-        The vector the map annihilates.
-    """
-
-    rows: np.ndarray
-    source_error: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", _readonly(self.rows))
-        object.__setattr__(self, "source_error", _readonly(self.source_error))
-        if self.rows.ndim != 2:
-            raise DimensionMismatch("projector rows must form a matrix")
-        n = self.source_error.size
-        if self.rows.shape != (n - 1, n):
-            raise DimensionMismatch(
-                f"projector must be {(n - 1, n)} for a {n}-vector, got {self.rows.shape}"
-            )
-
-    @property
-    def dim(self) -> int:
-        """Ambient dimension n."""
-        return self.source_error.size
-
-
-def nullspace_projector(e, zero_tol: float = DEFAULT_ZERO_TOL) -> ProjectionMatrix:
-    """Build the coordinate map whose kernel is exactly span{e}.
+def nullspace_projector(e, zero_tol: float = DEFAULT_ZERO_TOL) -> np.ndarray:
+    """The (n-1, n) matrix B with orthonormal rows whose kernel is exactly span{e}.
 
     Runs a full SVD of ``e`` viewed as an n x 1 matrix and collects the rows
     of U^T that pair with zero singular values.  Those rows are orthonormal
-    and annihilate ``e``.
+    and annihilate ``e``; applying B to a vector expresses its component
+    orthogonal to ``e`` in an orthonormal basis.
 
     Parameters
     ----------
@@ -99,8 +57,11 @@ def nullspace_projector(e, zero_tol: float = DEFAULT_ZERO_TOL) -> ProjectionMatr
     u, _, _ = np.linalg.svd(e.reshape(n, 1), full_matrices=True)
     # One nonzero singular value; rows 2..n of U^T pair with zero rows of
     # the singular-value matrix and span the complement of e.
-    rows = u[:, 1:].T
-    return ProjectionMatrix(rows=rows, source_error=e)
+    # C layout keeps matrix products bit-reproducible after serialization
+    # round trips (BLAS kernels vary with strides).
+    rows = np.ascontiguousarray(u[:, 1:].T)
+    rows.setflags(write=False)
+    return rows
 
 
 def numerical_rank(M, tol: Optional[float] = None) -> int:

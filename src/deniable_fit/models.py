@@ -208,7 +208,6 @@ def jacobian(
     data: Dataset,
     p,
     output_index: int = 0,
-    step: Optional[float] = None,
 ) -> np.ndarray:
     """n x d matrix of parameter derivatives of output ``output_index``.
 
@@ -230,7 +229,7 @@ def jacobian(
         base = model.predict_all(data.inputs, p)[:, output_index]
         M = np.empty((data.n, p.size))
         for l in range(p.size):
-            h = step if step is not None else FD_STEP * max(1.0, abs(p[l]))
+            h = FD_STEP * max(1.0, abs(p[l]))
             shifted = p.copy()
             shifted[l] += h
             M[:, l] = (model.predict_all(data.inputs, shifted)[:, output_index] - base) / h

@@ -26,7 +26,7 @@ from .errors import (
     RejectionExhausted,
     VariantMismatch,
 )
-from .linalg import DEFAULT_ZERO_TOL, ProjectionMatrix, nullspace_projector
+from .linalg import DEFAULT_ZERO_TOL, nullspace_projector
 
 VARIANT_EUCLIDEAN = "euclidean"
 VARIANT_ONE_NORM = "one_norm"
@@ -53,8 +53,8 @@ class CraftedNorm:
 
     Attributes
     ----------
-    projector : ProjectionMatrix
-        Map B annihilating the anchoring residual.
+    b_rows : (n-1, n) ndarray
+        Matrix B with orthonormal rows annihilating the anchoring residual.
     w1 : (n,) ndarray
         Direction with ||w1||_1 = 1 that is neither orthogonal to the
         residual nor inside its span.
@@ -64,68 +64,45 @@ class CraftedNorm:
         Norm applied to B x: "euclidean" or "one_norm".
     """
 
-    projector: ProjectionMatrix
+    b_rows: np.ndarray
     w1: np.ndarray
     alpha: float
     inner_variant: str = VARIANT_EUCLIDEAN
 
     def __post_init__(self):
+        # C layout keeps matrix products bit-reproducible after serialization
+        # round trips (BLAS kernels vary with strides).
+        b_rows = np.array(self.b_rows, dtype=float, order="C")
         w1 = np.array(self.w1, dtype=float).reshape(-1)
+        b_rows.setflags(write=False)
         w1.setflags(write=False)
+        object.__setattr__(self, "b_rows", b_rows)
         object.__setattr__(self, "w1", w1)
         if self.inner_variant not in _VARIANTS:
             raise InvalidArguments(f"unknown inner-norm variant {self.inner_variant!r}")
-        if w1.size != self.projector.dim:
+        n = w1.size
+        if b_rows.shape != (n - 1, n):
             raise DimensionMismatch(
-                f"w1 has {w1.size} entries, projector expects {self.projector.dim}"
+                f"B must be {(n - 1, n)} for a {n}-entry w1, got {b_rows.shape}"
             )
 
     @property
     def dim(self) -> int:
         return self.w1.size
 
-    def validate(self) -> None:
-        """Check the construction invariants, raising InvalidArguments."""
-        e = self.projector.source_error
+    def validate(self, e) -> None:
+        """Check the construction invariants against anchor ``e``, raising InvalidArguments."""
+        e = np.asarray(e, dtype=float).reshape(-1)
         e_norm = float(np.linalg.norm(e))
         if abs(float(np.abs(self.w1).sum()) - 1.0) > 1e-9:
             raise InvalidArguments("w1 must have unit 1-norm")
         if abs(float(e @ self.w1)) <= W1_ALIGNMENT_RTOL * e_norm:
             raise InvalidArguments("w1 is orthogonal to the anchoring residual")
-        b_w1 = _inner_norm(self.inner_variant, self.projector.rows @ self.w1)
+        b_w1 = _inner_norm(self.inner_variant, self.b_rows @ self.w1)
         if b_w1 <= W1_COMPLEMENT_TOL:
             raise InvalidArguments("w1 lies inside the span of the residual")
         if not 0.0 < self.alpha <= b_w1 * (1.0 + 1e-9):
             raise InvalidArguments("alpha must sit in (0, b(w1)]")
-
-    def fields(self) -> dict:
-        """The entries of ``to_dict()``, with the arrays left as numpy arrays."""
-        return {
-            "b_rows": self.projector.rows,
-            "source_error": self.projector.source_error,
-            "w1": self.w1,
-            "alpha": self.alpha,
-            "variant": self.inner_variant,
-        }
-
-    def to_dict(self) -> dict:
-        return {key: value.tolist() if isinstance(value, np.ndarray) else value
-                for key, value in self.fields().items()}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "CraftedNorm":
-        projector = ProjectionMatrix(
-            rows=np.asarray(payload["b_rows"], dtype=float),
-            source_error=np.asarray(payload["source_error"], dtype=float),
-        )
-        norm = cls(
-            projector=projector,
-            w1=np.asarray(payload["w1"], dtype=float),
-            alpha=float(payload["alpha"]),
-            inner_variant=str(payload["variant"]),
-        )
-        norm.validate()
-        return norm
 
 
 def seminorm_b(norm: CraftedNorm, x) -> float:
@@ -133,12 +110,12 @@ def seminorm_b(norm: CraftedNorm, x) -> float:
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != norm.dim:
         raise DimensionMismatch(f"expected {norm.dim} entries, got {x.size}")
-    return _inner_norm(norm.inner_variant, norm.projector.rows @ x)
+    return _inner_norm(norm.inner_variant, norm.b_rows @ x)
 
 
 def pick_w1(
     e,
-    projector: ProjectionMatrix,
+    B: np.ndarray,
     seed: Union[int, None, np.random.Generator] = None,
     max_retries: int = 1000,
 ) -> np.ndarray:
@@ -146,7 +123,8 @@ def pick_w1(
 
     Directions are sampled uniformly on the sphere and rescaled to unit
     1-norm.  A candidate is accepted when it is neither orthogonal to ``e``
-    (|e . w1| > 1e-8 ||e||_2) nor inside the span of ``e`` (b(w1) > 1e-8).
+    (|e . w1| > 1e-8 ||e||_2) nor inside the span of ``e`` (||B w1|| > 1e-8,
+    B being the (n-1, n) annihilator of ``e``).
     Both rejection events have measure zero, so resampling terminates
     immediately in practice.
 
@@ -156,11 +134,10 @@ def pick_w1(
     e = np.asarray(e, dtype=float).reshape(-1)
     if e.size < 2:
         raise DimensionTooSmall(f"need at least 2 components, got {e.size}")
-    if e.size != projector.dim:
-        raise DimensionMismatch("projector was built for a different dimension")
+    if np.shape(B) != (e.size - 1, e.size):
+        raise DimensionMismatch("B was built for a different dimension")
     rng = seed if hasattr(seed, "standard_normal") else np.random.default_rng(seed)
     e_norm = float(np.linalg.norm(e))
-    B = projector.rows
     for _ in range(max_retries):
         v = np.asarray(rng.standard_normal(e.size), dtype=float)
         scale = float(np.abs(v).sum())
@@ -188,11 +165,11 @@ def make_crafted_norm(
     """
     if inner_variant not in _VARIANTS:
         raise InvalidArguments(f"unknown inner-norm variant {inner_variant!r}")
-    projector = nullspace_projector(e, zero_tol)
-    w1 = pick_w1(e, projector, seed)
-    alpha = 0.5 * _inner_norm(inner_variant, projector.rows @ w1)
-    norm = CraftedNorm(projector=projector, w1=w1, alpha=alpha, inner_variant=inner_variant)
-    norm.validate()
+    B = nullspace_projector(e, zero_tol)
+    w1 = pick_w1(e, B, seed)
+    alpha = 0.5 * _inner_norm(inner_variant, B @ w1)
+    norm = CraftedNorm(b_rows=B, w1=w1, alpha=alpha, inner_variant=inner_variant)
+    norm.validate(e)
     return norm
 
 
@@ -202,7 +179,7 @@ def crafted_kernel(norm: CraftedNorm) -> Callable[[np.ndarray], float]:
     The returned function checks nothing: it takes a 1-D float array of
     ``norm.dim`` entries.  Every evaluation of a crafted norm goes through it.
     """
-    variant, rows, w1 = norm.inner_variant, norm.projector.rows, norm.w1
+    variant, rows, w1 = norm.inner_variant, norm.b_rows, norm.w1
     half_alpha = 0.5 * norm.alpha
 
     def value(x: np.ndarray) -> float:
@@ -229,7 +206,7 @@ def mae_transform(norm: CraftedNorm) -> np.ndarray:
     """
     if norm.inner_variant != VARIANT_ONE_NORM:
         raise VariantMismatch("MAE reduction needs the one-norm inner variant")
-    return np.vstack([1.5 * norm.projector.rows, 0.5 * norm.alpha * norm.w1[None, :]])
+    return np.vstack([1.5 * norm.b_rows, 0.5 * norm.alpha * norm.w1[None, :]])
 
 
 def crafted_matrix_kernel(

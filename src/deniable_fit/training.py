@@ -155,25 +155,9 @@ class OptimizerConfig:
             raise InvalidArguments("start point must be finite")
         if self.max_iters < 1:
             raise InvalidArguments("max_iters must be positive")
-        if self.simplex_scale <= 0.0 or self.convergence_tol <= 0.0:
-            raise InvalidArguments("simplex_scale and convergence_tol must be positive")
-
-    def to_dict(self) -> dict:
-        return {
-            "start": self.start.tolist(),
-            "max_iters": self.max_iters,
-            "simplex_scale": self.simplex_scale,
-            "convergence_tol": self.convergence_tol,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "OptimizerConfig":
-        return cls(
-            start=np.asarray(payload["start"], dtype=float),
-            max_iters=int(payload["max_iters"]),
-            simplex_scale=float(payload["simplex_scale"]),
-            convergence_tol=float(payload["convergence_tol"]),
-        )
+        # NaN fails every comparison, so this refuses it along with infinity.
+        if not (0.0 < self.simplex_scale < math.inf and 0.0 < self.convergence_tol < math.inf):
+            raise InvalidArguments("simplex_scale and convergence_tol must be positive and finite")
 
 
 @dataclass(frozen=True, eq=False)

@@ -95,7 +95,7 @@ def test_criterion_3_norm_axioms(capsys):
     for variant, seed in ((VARIANT_EUCLIDEAN, 31), (VARIANT_ONE_NORM, 32)):
         _, _, _, cert = _certificate(seed, variant)
         norm = cert.norms[0]
-        e = norm.projector.source_error
+        e = cert.residual[:, 0]
         e_scale = float(np.linalg.norm(e))
         rng = np.random.default_rng(400 + seed)
         for _ in range(1000):
@@ -142,7 +142,7 @@ def test_criterion_5_multivariate_consistency(capsys):
         ]
         E = rng.standard_normal((5, 3))
         by_hand = sum(
-            1.5 * float(np.linalg.norm(nm.projector.rows @ E[:, j]))
+            1.5 * float(np.linalg.norm(nm.b_rows @ E[:, j]))
             + 0.5 * nm.alpha * abs(float(E[:, j] @ nm.w1))
             for j, nm in enumerate(norms)
         )

@@ -33,7 +33,7 @@ class TestCraftAndVerify:
                      "--seed", "5"]) == 0
         assert cert_path.exists()
         payload = json.loads(cert_path.read_text())
-        assert payload["schema"] == "denial-cert/2"
+        assert payload["schema"] == "denial-cert/3"
         assert payload["seed"] == 5
 
         assert main(["verify", str(cert_path), str(model_path)]) == 0

@@ -33,6 +33,8 @@ from deniable_fit import (
     generate_decoy,
     jacobian,
     linear_regression_model,
+    make_crafted_norm,
+    nullspace_projector,
     rank_condition,
     residuals,
     run_denial_trial,
@@ -228,7 +230,7 @@ class TestCraftDenial:
     def test_norm_anchored_on_residual(self, rng):
         model, p_star, decoy = small_problem(rng)
         cert = craft_denial(model, p_star, decoy, seed=7)
-        assert_allclose(cert.norms[0].projector.source_error, cert.residual[:, 0])
+        assert np.array_equal(cert.norms[0].b_rows, nullspace_projector(cert.residual[:, 0]))
 
     def test_stored_residual_value_has_no_b_component(self, rng):
         # at the anchor, only the w1 terms contribute
@@ -379,44 +381,85 @@ class TestVerifyDenial:
         assert report.passed
 
 
-def legacy_payload(payload):
-    """``payload`` as the first schema wrote it, dead fields included."""
-    legacy = dict(payload, schema="denial-cert/1", rank_condition_ok=[True],
-                  tolerances={"zero_residual": 1e-12, "integrity": 1e-9})
-    legacy["norms"] = [dict(nm, svd_tolerance=1e-12, seed=None) for nm in payload["norms"]]
-    legacy["optimizer"] = dict(payload["optimizer"], seed=None)
+def legacy_payload(payload, schema):
+    """``payload`` as an earlier schema wrote it, redundant and dead fields included."""
+    legacy = {key: value for key, value in payload.items() if key != "start"}
+    legacy["schema"] = schema
+    legacy["norms"] = [dict(nm, source_error=[row[j] for row in payload["residual"]])
+                       for j, nm in enumerate(payload["norms"])]
+    legacy["optimizer"] = {"start": payload["start"], "max_iters": 40000,
+                           "simplex_scale": 0.05, "convergence_tol": 1e-13}
+    if schema == "denial-cert/1":
+        legacy.update(rank_condition_ok=[True],
+                      tolerances={"zero_residual": 1e-12, "integrity": 1e-9})
+        legacy["norms"] = [dict(nm, svd_tolerance=1e-12, seed=None) for nm in legacy["norms"]]
+        legacy["optimizer"]["seed"] = None
     return legacy
+
+
+LEGACY_SCHEMAS = ("denial-cert/1", "denial-cert/2")
 
 
 class TestCertificateLoading:
     def test_schema_keys_are_exact(self, rng):
         model, p_star, decoy = small_problem(rng)
         payload = craft_denial(model, p_star, decoy, seed=1).to_dict()
-        assert payload["schema"] == "denial-cert/2"
-        assert set(payload) == {
-            "schema", "seed", "model", "decoy", "residual", "norms", "optimizer",
-        }
+        assert payload["schema"] == "denial-cert/3"
+        assert list(payload) == ["schema", "seed", "model", "decoy", "residual", "norms", "start"]
         assert set(payload["decoy"]) == {"inputs", "responses"}
         for nm in payload["norms"]:
-            assert set(nm) == {"source_error", "b_rows", "w1", "alpha", "variant"}
-        assert set(payload["optimizer"]) == {
-            "start", "max_iters", "simplex_scale", "convergence_tol",
-        }
+            assert list(nm) == ["b_rows", "w1", "alpha", "variant"]
 
+    # Both earlier schemas are covered in one test each: /1 and /2 files are
+    # refused alike, by the one schema check.
     def test_first_schema_refused(self, rng):
         model, p_star, decoy = small_problem(rng)
         payload = craft_denial(model, p_star, decoy, seed=1).to_dict()
-        with pytest.raises(InvalidArguments):
-            DenialCertificate.from_dict(legacy_payload(payload))
+        for schema in LEGACY_SCHEMAS:
+            with pytest.raises(InvalidArguments, match="unsupported certificate schema"):
+                DenialCertificate.from_dict(legacy_payload(payload, schema))
 
     def test_cli_verify_refuses_first_schema(self, rng, tmp_path, capsys):
         model, p_star, decoy = small_problem(rng)
         payload = craft_denial(model, p_star, decoy, seed=1).to_dict()
         cert_path, model_path = tmp_path / "cert.json", tmp_path / "model.json"
-        cert_path.write_text(json.dumps(legacy_payload(payload)))
         write_model_file(model_path, 5, p_star)
-        assert main(["verify", str(cert_path), str(model_path)]) == 1
-        assert "unsupported certificate schema" in capsys.readouterr().err
+        for schema in LEGACY_SCHEMAS:
+            cert_path.write_text(json.dumps(legacy_payload(payload, schema)))
+            assert main(["verify", str(cert_path), str(model_path)]) == 1
+            assert "unsupported certificate schema" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("variant", ["euclidean", "one_norm"])
+    def test_norm_round_trip_is_exact(self, rng, variant):
+        model, p_star, decoy = small_problem(rng)
+        cert = craft_denial(model, p_star, decoy, seed=99, inner_variant=variant)
+        clone = DenialCertificate.from_dict(cert.to_dict())
+        norm, copy = cert.norms[0], clone.norms[0]
+        assert np.array_equal(copy.b_rows, norm.b_rows)
+        assert np.array_equal(copy.w1, norm.w1)
+        assert copy.alpha == norm.alpha
+        assert copy.inner_variant == norm.inner_variant
+        assert np.array_equal(clone.start, cert.start)
+
+    def test_tampered_w1_rejected(self, rng):
+        model, p_star, decoy = small_problem(rng)
+        payload = craft_denial(model, p_star, decoy, seed=1).to_dict()
+        norm = payload["norms"][0]
+        norm["w1"] = list(np.asarray(norm["b_rows"])[0])  # inside the complement
+        with pytest.raises(InvalidArguments):
+            DenialCertificate.from_dict(payload)
+
+    def test_norm_of_another_dimension_rejected(self, rng):
+        model, p_star, decoy = small_problem(rng)
+        cert = craft_denial(model, p_star, decoy, seed=1)
+        other = make_crafted_norm(rng.normal(size=9), seed=1)
+        with pytest.raises(DimensionMismatch):
+            dataclasses.replace(cert, norms=(other,))
+        payload = cert.to_dict()
+        payload["norms"] = [{"b_rows": other.b_rows.tolist(), "w1": other.w1.tolist(),
+                             "alpha": other.alpha, "variant": other.inner_variant}]
+        with pytest.raises(InvalidArguments):
+            DenialCertificate.from_dict(payload)
 
     def test_missing_key_rejected(self, rng):
         model, p_star, decoy = small_problem(rng)
@@ -487,13 +530,22 @@ class TestCertificateValues:
         with pytest.raises(InvalidArguments):
             dataclasses.replace(cert, residual=residual)
 
+    def test_non_finite_start_rejected(self, rng):
+        model, p_star, decoy = small_problem(rng)
+        cert = craft_denial(model, p_star, decoy, seed=1)
+        start = cert.start.copy()
+        start[0] = math.inf
+        with pytest.raises(InvalidArguments):
+            dataclasses.replace(cert, start=start)
+
     @pytest.mark.parametrize("field", ["simplex_scale", "convergence_tol"])
     def test_non_finite_optimizer_setting_rejected(self, rng, field):
         model, p_star, decoy = small_problem(rng)
         cert = craft_denial(model, p_star, decoy, seed=1)
-        config = dataclasses.replace(cert.optimizer_config, **{field: math.inf})
-        with pytest.raises(InvalidArguments):
-            dataclasses.replace(cert, optimizer_config=config)
+        assert math.isfinite(getattr(OptimizerConfig(start=cert.start), field))
+        for value in (math.nan, math.inf):
+            with pytest.raises(InvalidArguments):
+                OptimizerConfig(start=cert.start, **{field: value})
 
     @pytest.mark.parametrize("seed", [2 ** 64, -1])
     def test_craft_refuses_a_seed_beyond_64_bits(self, rng, seed):

@@ -1,7 +1,8 @@
 """Every module of the package uses each name it imports, and declares what it needs.
 
 ``__init__.py`` is exempt from the unused-name scan: its imports are the
-public re-exports.  An import whose line carries ``# noqa: F401`` is kept on
+public re-exports, so each must be listed in ``__all__``, and each name in
+``__all__`` must be bound.  An import whose line carries ``# noqa: F401`` is kept on
 purpose and says why there.  Every top-level module that the package imports
 from outside the standard library is a dependency in ``pyproject.toml``.
 """
@@ -72,6 +73,38 @@ def test_scan_flags_an_unused_name():
     assert unused_imports(source) == [(1, "Sequence")]
     kept = "import os  # noqa: F401\n"
     assert unused_imports(kept) == []
+
+
+def export_problems(source: str, bound) -> list:
+    """Names in ``source``'s ``__all__`` missing from ``bound``, and imported names it omits."""
+    tree = ast.parse(source)
+    listed = next(
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+    )
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                for alias in node.names}
+    return ([f"unbound: {name}" for name in listed if name not in bound]
+            + [f"unlisted: {name}" for name in sorted(imported - set(listed))])
+
+
+def test_exports_are_bound_and_listed():
+    import deniable_fit
+
+    source = (PACKAGE / "__init__.py").read_text()
+    assert export_problems(source, vars(deniable_fit)) == []
+    assert len(set(deniable_fit.__all__)) == len(deniable_fit.__all__)
+
+
+def test_export_scan_flags_stale_names():
+    source = (
+        "from .linalg import nullspace_projector, numerical_rank\n"
+        "__all__ = [\"ProjectionMatrix\", \"nullspace_projector\"]\n"
+    )
+    bound = {"nullspace_projector", "numerical_rank"}
+    assert export_problems(source, bound) == ["unbound: ProjectionMatrix", "unlisted: numerical_rank"]
 
 
 def third_party_imports(source: str) -> set:

@@ -17,16 +17,16 @@ from conftest import exact_rank
 
 class TestNullspaceProjector:
     def test_axis_vector(self):
-        pm = nullspace_projector([1.0, 0.0])
-        assert pm.rows.shape == (1, 2)
-        assert_allclose(np.abs(pm.rows), [[0.0, 1.0]], atol=1e-15)
+        B = nullspace_projector([1.0, 0.0])
+        assert B.shape == (1, 2)
+        assert_allclose(np.abs(B), [[0.0, 1.0]], atol=1e-15)
 
     def test_diagonal_vector(self):
-        pm = nullspace_projector([1.0, 1.0])
+        B = nullspace_projector([1.0, 1.0])
         s = 1.0 / np.sqrt(2.0)
         # one row, entries of equal magnitude and opposite sign
-        assert_allclose(np.abs(pm.rows), [[s, s]], atol=1e-15)
-        assert_allclose(pm.rows @ np.array([1.0, 1.0]), [0.0], atol=1e-15)
+        assert_allclose(np.abs(B), [[s, s]], atol=1e-15)
+        assert_allclose(B @ np.array([1.0, 1.0]), [0.0], atol=1e-15)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ZeroErrorVector):
@@ -49,26 +49,27 @@ class TestNullspaceProjector:
     def test_annihilation_and_orthonormal_rows(self, n, rng):
         for _ in range(20):
             e = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
-            pm = nullspace_projector(e)
-            assert pm.rows.shape == (n - 1, n)
-            assert np.max(np.abs(pm.rows @ e)) <= 1e-10 * np.linalg.norm(e)
-            assert_allclose(pm.rows @ pm.rows.T, np.eye(n - 1), atol=1e-10)
+            B = nullspace_projector(e)
+            assert B.shape == (n - 1, n)
+            assert np.max(np.abs(B @ e)) <= 1e-10 * np.linalg.norm(e)
+            assert_allclose(B @ B.T, np.eye(n - 1), atol=1e-10)
 
     def test_identity_on_complement(self, rng):
         # B^T B acts as the identity on vectors orthogonal to e
         for n in (2, 4, 9, 16):
             e = rng.normal(size=n)
-            pm = nullspace_projector(e)
+            B = nullspace_projector(e)
             for _ in range(10):
                 x = rng.normal(size=n)
                 x -= (x @ e) / (e @ e) * e
-                back = pm.rows.T @ (pm.rows @ x)
+                back = B.T @ (B @ x)
                 assert np.max(np.abs(back - x)) <= 1e-9 * max(np.linalg.norm(x), 1e-30)
 
     def test_rows_are_readonly(self):
-        pm = nullspace_projector([2.0, -1.0, 3.0])
+        B = nullspace_projector([2.0, -1.0, 3.0])
+        assert B.flags.c_contiguous
         with pytest.raises(ValueError):
-            pm.rows[0, 0] = 7.0
+            B[0, 0] = 7.0
 
 
 class TestNumericalRank:

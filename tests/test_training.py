@@ -124,7 +124,7 @@ def reference_minimize(objective, config, callback=None):
 
 def _reference_crafted_norm_value(norm, x):
     x = np.asarray(x, dtype=float).reshape(-1)
-    v = norm.projector.rows @ x
+    v = norm.b_rows @ x
     if norm.inner_variant == "euclidean":
         b_part = math.sqrt(float(v @ v))
     else:
@@ -244,6 +244,10 @@ class TestMinimize:
             OptimizerConfig(start=np.zeros(2), simplex_scale=0.0)
         with pytest.raises(InvalidArguments):
             OptimizerConfig(start=np.zeros(2), convergence_tol=-1.0)
+        for field in ("simplex_scale", "convergence_tol"):
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(InvalidArguments):
+                    OptimizerConfig(start=np.zeros(2), **{field: value})
 
 
 OBJECTIVE_KINDS = ("kinked_bowl", "plateau", "nan_inf_region", "crafted_euclidean", "crafted_one_norm")
