@@ -7,9 +7,9 @@ Commands:
   experiment  synthetic end-to-end trials (honest fit, decoy retrain)
   adversary   emit two distinct datasets that both refit to the same model
 
-Exit codes: 0 success; 1 I/O, parse, or integrity errors; 2 crafting
-impossible for the given decoy (zero residual or rank condition); 3
-verification ran but the refit missed the tolerance.
+Exit codes: 0 success; 1 usage, I/O, parse, or integrity errors; 2
+crafting impossible for the given decoy (zero residual or rank
+condition); 3 verification ran but the refit missed the tolerance.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .errors import (
     RankConditionViolated,
     ZeroResidual,
 )
-from .linalg import DEFAULT_ZERO_TOL
 from .models import Dataset, ParamModel, linear_regression_model
 from .norms import VARIANT_EUCLIDEAN, VARIANT_ONE_NORM
 from .training import LossSpec, OptimizerConfig, fit
@@ -159,9 +158,7 @@ def cmd_craft(args: argparse.Namespace) -> int:
     decoy = Dataset.from_csv(args.decoy)
     variant = VARIANT_ONE_NORM if args.mae else VARIANT_EUCLIDEAN
     try:
-        certificate = craft_denial(
-            model, p_star, decoy, seed=seed, inner_variant=variant, zero_tol=args.zero_tol
-        )
+        certificate = craft_denial(model, p_star, decoy, seed=seed, inner_variant=variant)
     except (RankConditionViolated, ZeroResidual) as exc:
         # The decoy is caller-fixed, so there is nothing to resample here.
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -288,8 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"RNG seed (default: ${SEED_ENV_VAR} or 0)")
     craft.add_argument("--mae", action="store_true",
                        help="use the one-norm inner variant (enables the MAE reduction)")
-    craft.add_argument("--zero-tol", type=float, default=DEFAULT_ZERO_TOL,
-                       help=f"residual 2-norm below which crafting is refused (default {DEFAULT_ZERO_TOL:g})")
     craft.set_defaults(func=cmd_craft)
 
     verify = sub.add_parser("verify", help="replay a certificate")
@@ -334,7 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse printed help or a usage error; its status 2 means EXIT_CANNOT_CRAFT here.
+        return EXIT_ERROR if exc.code else EXIT_OK
     try:
         return args.func(args)
     except CertificateTampered as exc:

@@ -13,11 +13,11 @@ from __future__ import annotations
 import hashlib
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 import numpy as np
-import orjson
 
 from .errors import (
     CertificateTampered,
@@ -29,7 +29,7 @@ from .errors import (
     RankConditionViolated,
     ZeroResidual,
 )
-from .linalg import DEFAULT_ZERO_TOL, numerical_rank, rank_condition
+from .linalg import ZERO_TOL, numerical_rank, rank_condition
 from .models import Dataset, ParamModel, jacobian, linear_regression_model, residuals
 from .norms import VARIANT_EUCLIDEAN, CraftedNorm, make_crafted_norm
 from .training import FittedModel, LossSpec, OptimizerConfig, fit
@@ -243,17 +243,18 @@ def generate_decoy(
 # Denial certificates
 # ---------------------------------------------------------------------------
 
-def _write_compact(write, value) -> None:
+def _write_compact(write, value, orjson) -> None:
     """Write ``value`` as compact JSON bytes, one key, scalar, flat list or matrix row per call.
 
     A numpy array is encoded from its buffer, so a matrix is never turned
-    into Python floats.
+    into Python floats.  ``orjson`` is the module, which callers import on
+    first use.
     """
     if isinstance(value, dict):
         write(b"{")
         for i, (key, item) in enumerate(value.items()):
             write((b"," if i else b"") + orjson.dumps(key) + b":")
-            _write_compact(write, item)
+            _write_compact(write, item, orjson)
         write(b"}")
     elif (isinstance(value, (list, np.ndarray)) and len(value)
           and isinstance(value[0], (list, dict, np.ndarray))):
@@ -261,7 +262,7 @@ def _write_compact(write, value) -> None:
         for i, item in enumerate(value):
             if i:
                 write(b",")
-            _write_compact(write, item)
+            _write_compact(write, item, orjson)
         write(b"]")
     else:
         if isinstance(value, np.ndarray):
@@ -284,7 +285,9 @@ class DenialCertificate:
 
     Holds the decoy dataset, one crafted norm per output column, the
     residual matrix at p*, and the seeded start point of the replay, which
-    runs with the package's default optimizer settings.  Every number must
+    runs with the package's fixed optimizer settings.  The certificate keeps
+    read-only copies of the decoy's arrays, so later edits of the caller's
+    arrays do not reach it.  Every number must
     be finite and ``seed`` must be None or an integer in [0, 2**64), so that
     the certificate file states each value exactly; anything else raises
     InvalidArguments.  A norm whose dimension differs from the residual's
@@ -302,9 +305,12 @@ class DenialCertificate:
         residual = np.array(self.residual, dtype=float)
         if residual.ndim == 1:
             residual = residual[:, None]
-        residual.setflags(write=False)
         start = np.array(self.start, dtype=float).reshape(-1)
-        start.setflags(write=False)
+        inputs, responses = self.decoy.inputs, self.decoy.responses
+        decoy = Dataset(np.array(inputs, dtype=float), np.array(responses, dtype=float))
+        for array in (residual, start, decoy.inputs, decoy.responses):
+            array.setflags(write=False)
+        object.__setattr__(self, "decoy", decoy)
         object.__setattr__(self, "residual", residual)
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "norms", tuple(self.norms))
@@ -396,14 +402,29 @@ class DenialCertificate:
         so every JSON parser reads back the same float64 values.  The text is
         streamed one matrix row at a time straight from the arrays, so
         neither the text nor ``to_dict()`` ever exists in memory as a whole.
+
+        The text goes to a new temporary file next to ``path``, which then
+        replaces ``path`` in one rename.  If writing fails, the temporary
+        file is removed and whatever was at ``path`` stays as it was.
         """
-        with open(path, "wb") as fh:
-            _write_compact(fh.write, self._fields())
-            fh.write(b"\n")
+        import orjson  # imported on first use: only certificate I/O needs it
+
+        tmp = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
+        fh = open(tmp, "xb")  # outside the try: a name that exists already is not ours to remove
+        try:
+            with fh:
+                _write_compact(fh.write, self._fields(), orjson)
+                fh.write(b"\n")
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     @classmethod
     def from_json(cls, path) -> "DenialCertificate":
         """Load a certificate file, raising InvalidArguments unless it is valid JSON."""
+        import orjson  # imported on first use: only certificate I/O needs it
+
         with open(path, "rb") as fh:
             text = fh.read()
         try:
@@ -424,32 +445,29 @@ def craft_denial(
     decoy: Dataset,
     seed: int = 0,
     inner_variant: str = VARIANT_EUCLIDEAN,
-    zero_tol: float = DEFAULT_ZERO_TOL,
 ) -> DenialCertificate:
     """Build the denial certificate for ``decoy`` at parameters ``p_star``.
 
-    Per output column: take the residual at p*, check it is nonzero and
-    outside the Jacobian's column space (otherwise local optimality cannot
-    be anchored there), and construct a crafted norm on it.  The replay
-    configuration starts the refit at p* plus a seeded Gaussian
-    perturbation of scale 1e-2 per coordinate.
+    Per output column: take the residual at p*, check that its 2-norm
+    exceeds ``ZERO_TOL`` and that it lies outside the Jacobian's column
+    space (otherwise local optimality cannot be anchored there), and
+    construct a crafted norm on it.  The replay configuration starts the
+    refit at p* plus a seeded Gaussian perturbation of scale 1e-2 per
+    coordinate.
 
     Raises ZeroResidual(j) when column j fits perfectly, and
     RankConditionViolated(j) when column j's residual is reachable by the
     model's tangent directions; resampling the decoy clears both in
     practice (see ``craft_denial_resampling``).  A p* with a NaN or
-    infinite entry, or a ``zero_tol`` that is not positive and finite,
-    raises InvalidArguments.
+    infinite entry raises InvalidArguments.
     """
-    if not _is_finite(zero_tol) or zero_tol <= 0.0:
-        raise InvalidArguments("zero_tol must be positive and finite")
     p_star = np.asarray(p_star, dtype=float).reshape(-1)
     E = residuals(model, decoy, p_star)  # raises DimensionMismatch on a wrong p*
     _require_finite_params(p_star)
     norms = []
     for j in range(E.shape[1]):
         e_j = E[:, j]
-        if float(np.linalg.norm(e_j)) <= zero_tol:
+        if float(np.linalg.norm(e_j)) <= ZERO_TOL:
             raise ZeroResidual(j)
         M_j = jacobian(model, decoy, p_star, output_index=j)
         if not rank_condition(M_j, e_j):
@@ -482,10 +500,9 @@ def _craft_resampling(
     n: int,
     seed: int,
     inner_variant: str,
-    max_attempts: int,
 ) -> Tuple[DenialCertificate, int]:
     last_error: Optional[DeniableFitError] = None
-    for attempt in range(max_attempts):
+    for attempt in range(DECOY_RESAMPLE_ATTEMPTS):
         decoy = generate_decoy(input_spec, response_spec, n, seed=derive_seed(seed, "decoy", attempt))
         try:
             cert = craft_denial(
@@ -510,16 +527,16 @@ def craft_denial_resampling(
     n: int,
     seed: int = 0,
     inner_variant: str = VARIANT_EUCLIDEAN,
-    max_attempts: int = DECOY_RESAMPLE_ATTEMPTS,
 ) -> DenialCertificate:
     """Draw decoys until one supports a certificate.
 
     Residuals of randomly drawn decoys land in the Jacobian's column space
     only on a measure-zero set, so the first attempt almost always
-    succeeds; the cap keeps pathological model/spec pairings from looping.
+    succeeds; the cap of ``DECOY_RESAMPLE_ATTEMPTS`` decoys keeps
+    pathological model/spec pairings from looping.
     """
     cert, _ = _craft_resampling(
-        model, p_star, input_spec, response_spec, n, seed, inner_variant, max_attempts
+        model, p_star, input_spec, response_spec, n, seed, inner_variant
     )
     return cert
 
@@ -564,7 +581,7 @@ def verify_denial(
     raises CertificateTampered, as does a stored B that is not orthonormal
     or does not annihilate its column of the stored residual.  Then refits
     under the certified norms from the certified start point, with the
-    default optimizer settings, and reports the max per-coordinate
+    package's optimizer settings, and reports the max per-coordinate
     deviation from p*.  A ``tolerance`` that is not positive and finite, or
     a p* with a NaN or infinite entry, raises InvalidArguments.
     """
@@ -711,7 +728,6 @@ def run_denial_trial(
         n,
         trial_seed,
         inner_variant,
-        DECOY_RESAMPLE_ATTEMPTS,
     )
     report = verify_denial(certificate, model, p_star, tolerance=tolerance)
     return TrialResult(

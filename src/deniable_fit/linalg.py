@@ -6,8 +6,6 @@ values can be shared freely across threads.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .errors import (
@@ -18,10 +16,10 @@ from .errors import (
 )
 
 # Absolute 2-norm threshold below which an error vector counts as zero.
-DEFAULT_ZERO_TOL = 1e-12
+ZERO_TOL = 1e-12
 
 
-def nullspace_projector(e, zero_tol: float = DEFAULT_ZERO_TOL) -> np.ndarray:
+def nullspace_projector(e) -> np.ndarray:
     """The (n-1, n) matrix B with orthonormal rows whose kernel is exactly span{e}.
 
     Runs a full SVD of ``e`` viewed as an n x 1 matrix and collects the rows
@@ -32,9 +30,7 @@ def nullspace_projector(e, zero_tol: float = DEFAULT_ZERO_TOL) -> np.ndarray:
     Parameters
     ----------
     e : array_like
-        Real vector with n >= 2 entries and 2-norm above ``zero_tol``.
-    zero_tol : float
-        Absolute threshold below which ``e`` counts as zero.
+        Real vector with n >= 2 entries and 2-norm above ``ZERO_TOL``.
 
     Raises
     ------
@@ -47,11 +43,9 @@ def nullspace_projector(e, zero_tol: float = DEFAULT_ZERO_TOL) -> np.ndarray:
     n = e.size
     if n < 2:
         raise DimensionTooSmall(f"need at least 2 components, got {n}")
-    if not zero_tol > 0.0:  # also refuses NaN
-        raise InvalidArguments("zero_tol must be positive")
     if not np.all(np.isfinite(e)):
         raise InvalidArguments("error vector must be finite")
-    if float(np.linalg.norm(e)) <= zero_tol:
+    if float(np.linalg.norm(e)) <= ZERO_TOL:
         raise ZeroErrorVector("cannot anchor a norm on a zero residual")
 
     u, _, _ = np.linalg.svd(e.reshape(n, 1), full_matrices=True)
@@ -64,24 +58,21 @@ def nullspace_projector(e, zero_tol: float = DEFAULT_ZERO_TOL) -> np.ndarray:
     return rows
 
 
-def numerical_rank(M, tol: Optional[float] = None) -> int:
-    """Count singular values above ``tol`` relative to the largest one.
+def numerical_rank(M) -> int:
+    """Count singular values above max(rows, cols) * eps times the largest one.
 
-    ``tol`` defaults to max(rows, cols) * machine epsilon.  A matrix whose
-    largest singular value is zero has rank 0.
+    eps is the float64 machine epsilon.  A matrix whose largest singular
+    value is zero has rank 0.
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    if tol is None:
-        tol = max(M.shape) * float(np.finfo(float).eps)
-    elif tol <= 0.0:
-        raise InvalidArguments("tol must be positive")
+    tol = max(M.shape) * float(np.finfo(float).eps)
     s = np.linalg.svd(M, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > tol * s[0]))
 
 
-def rank_condition(M, e, tol: Optional[float] = None) -> bool:
+def rank_condition(M, e) -> bool:
     """True when appending ``e`` as a column raises the numerical rank of M.
 
     Equivalently: ``e`` does not lie in the column space of ``M``, which is
@@ -94,4 +85,4 @@ def rank_condition(M, e, tol: Optional[float] = None) -> bool:
             f"vector has {e.size} entries but the matrix has {M.shape[0]} rows"
         )
     augmented = np.column_stack([M, e])
-    return numerical_rank(augmented, tol) != numerical_rank(M, tol)
+    return numerical_rank(augmented) != numerical_rank(M)

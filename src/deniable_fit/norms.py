@@ -26,7 +26,7 @@ from .errors import (
     RejectionExhausted,
     VariantMismatch,
 )
-from .linalg import DEFAULT_ZERO_TOL, nullspace_projector
+from .linalg import nullspace_projector
 
 VARIANT_EUCLIDEAN = "euclidean"
 VARIANT_ONE_NORM = "one_norm"
@@ -35,6 +35,7 @@ _VARIANTS = (VARIANT_EUCLIDEAN, VARIANT_ONE_NORM)
 # Acceptance thresholds for the anchor direction w1.
 W1_ALIGNMENT_RTOL = 1e-8   # |e . w1| must exceed this times ||e||_2
 W1_COMPLEMENT_TOL = 1e-8   # b(w1) must exceed this
+W1_MAX_DRAWS = 1000        # candidates drawn before giving up
 
 
 def _inner_norm(variant: str, v: np.ndarray) -> float:
@@ -117,7 +118,6 @@ def pick_w1(
     e,
     B: np.ndarray,
     seed: Union[int, None, np.random.Generator] = None,
-    max_retries: int = 1000,
 ) -> np.ndarray:
     """Draw the anchor direction w1 by rejection sampling.
 
@@ -126,7 +126,8 @@ def pick_w1(
     (|e . w1| > 1e-8 ||e||_2) nor inside the span of ``e`` (||B w1|| > 1e-8,
     B being the (n-1, n) annihilator of ``e``).
     Both rejection events have measure zero, so resampling terminates
-    immediately in practice.
+    immediately in practice; RejectionExhausted is raised after
+    ``W1_MAX_DRAWS`` rejected candidates.
 
     ``seed`` may be an int, None, or any generator exposing
     ``standard_normal`` (handy for forcing candidates in tests).
@@ -138,7 +139,7 @@ def pick_w1(
         raise DimensionMismatch("B was built for a different dimension")
     rng = seed if hasattr(seed, "standard_normal") else np.random.default_rng(seed)
     e_norm = float(np.linalg.norm(e))
-    for _ in range(max_retries):
+    for _ in range(W1_MAX_DRAWS):
         v = np.asarray(rng.standard_normal(e.size), dtype=float)
         scale = float(np.abs(v).sum())
         if scale <= 0.0 or not np.isfinite(scale):
@@ -148,14 +149,13 @@ def pick_w1(
         off_span = float(np.linalg.norm(B @ w)) > W1_COMPLEMENT_TOL
         if aligned and off_span:
             return w
-    raise RejectionExhausted(f"no usable direction after {max_retries} draws")
+    raise RejectionExhausted(f"no usable direction after {W1_MAX_DRAWS} draws")
 
 
 def make_crafted_norm(
     e,
     seed: Union[int, None, np.random.Generator] = None,
     inner_variant: str = VARIANT_EUCLIDEAN,
-    zero_tol: float = DEFAULT_ZERO_TOL,
 ) -> CraftedNorm:
     """Build the full crafted norm anchored on residual ``e``.
 
@@ -165,7 +165,7 @@ def make_crafted_norm(
     """
     if inner_variant not in _VARIANTS:
         raise InvalidArguments(f"unknown inner-norm variant {inner_variant!r}")
-    B = nullspace_projector(e, zero_tol)
+    B = nullspace_projector(e)
     w1 = pick_w1(e, B, seed)
     alpha = 0.5 * _inner_norm(inner_variant, B @ w1)
     norm = CraftedNorm(b_rows=B, w1=w1, alpha=alpha, inner_variant=inner_variant)

@@ -33,9 +33,9 @@ LOSS_RMSE = "rmse"
 LOSS_MAE = "mae"
 LOSS_CRAFTED_MATRIX = "crafted_matrix"
 
-DEFAULT_MAX_ITERS = 40000
-DEFAULT_SIMPLEX_SCALE = 0.05
-DEFAULT_CONVERGENCE_TOL = 1e-13
+MAX_ITERS = 40000          # iteration budget shared by all restarts
+SIMPLEX_SCALE = 0.05       # relative offset of the initial simplex vertices
+CONVERGENCE_TOL = 1e-13    # value spread at which a descent stops
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,12 +138,9 @@ _STANDARD_REDUCERS = {
 
 @dataclass(frozen=True, eq=False)
 class OptimizerConfig:
-    """Simplex-descent settings.  Identical configs give identical fits."""
+    """The start point of a simplex descent.  Identical configs give identical fits."""
 
     start: np.ndarray
-    max_iters: int = DEFAULT_MAX_ITERS
-    simplex_scale: float = DEFAULT_SIMPLEX_SCALE
-    convergence_tol: float = DEFAULT_CONVERGENCE_TOL
 
     def __post_init__(self):
         start = np.array(self.start, dtype=float).reshape(-1)
@@ -153,11 +150,6 @@ class OptimizerConfig:
             raise InvalidArguments("start point must have at least one coordinate")
         if not np.all(np.isfinite(start)):
             raise InvalidArguments("start point must be finite")
-        if self.max_iters < 1:
-            raise InvalidArguments("max_iters must be positive")
-        # NaN fails every comparison, so this refuses it along with infinity.
-        if not (0.0 < self.simplex_scale < math.inf and 0.0 < self.convergence_tol < math.inf):
-            raise InvalidArguments("simplex_scale and convergence_tol must be positive and finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,7 +182,6 @@ def _descend(
     objective: Callable[[np.ndarray], float],
     x0: np.ndarray,
     f0: float,
-    config: OptimizerConfig,
     iterations_used: int,
     callback: Optional[Callable[[float], None]],
 ) -> Tuple[np.ndarray, float, int, bool]:
@@ -206,13 +197,13 @@ def _descend(
     values = [f0]
     for l in range(d):
         vertex = x0.copy()
-        vertex[l] += config.simplex_scale * max(1.0, abs(x0[l]))
+        vertex[l] += SIMPLEX_SCALE * max(1.0, abs(x0[l]))
         simplex[l + 1] = vertex
         values.append(objective(vertex))
     simplex, values = _sort_simplex(simplex, values)
 
-    converged = values[-1] - values[0] < config.convergence_tol
-    while not converged and iterations_used < config.max_iters:
+    converged = values[-1] - values[0] < CONVERGENCE_TOL
+    while not converged and iterations_used < MAX_ITERS:
         iterations_used += 1
         centroid = simplex[:-1].sum(axis=0) / d
         worst = simplex[-1]
@@ -257,7 +248,7 @@ def _descend(
             values.insert(i, f_vertex)
         if callback is not None:
             callback(values[0])
-        converged = values[-1] - values[0] < config.convergence_tol
+        converged = values[-1] - values[0] < CONVERGENCE_TOL
 
     return simplex[0].copy(), values[0], iterations_used, converged
 
@@ -270,13 +261,13 @@ def minimize(
     """Restarted Nelder-Mead simplex descent from ``config.start``.
 
     Each descent offsets coordinate l of its start point by
-    ``simplex_scale * max(1, |start_l|)`` to span the initial simplex and
+    ``SIMPLEX_SCALE * max(1, |start_l|)`` to span the initial simplex and
     runs until the spread of vertex objective values drops below
-    ``convergence_tol``.  A collapsed simplex on a kinked landscape can
+    ``CONVERGENCE_TOL``.  A collapsed simplex on a kinked landscape can
     stall short of the optimum, so descents are restarted from the best
-    point until one fails to improve it by more than ``convergence_tol``
+    point until one fails to improve it by more than ``CONVERGENCE_TOL``
     (the non-smooth losses here are exactly the stalling kind).  All
-    descents share the ``max_iters`` budget; ``converged`` reports whether
+    descents share the ``MAX_ITERS`` budget; ``converged`` reports whether
     the final spread criterion was met within it.  The best value never
     increases across iterations (restarts keep the best vertex);
     ``callback``, when given, observes it once per iteration.
@@ -301,8 +292,8 @@ def minimize(
     converged = False
     while True:
         previous_best = f
-        x, f, iterations, converged = _descend(checked, x, f, config, iterations, callback)
-        if not converged or previous_best - f <= config.convergence_tol:
+        x, f, iterations, converged = _descend(checked, x, f, iterations, callback)
+        if not converged or previous_best - f <= CONVERGENCE_TOL:
             break
 
     return FittedModel(

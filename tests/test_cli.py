@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from deniable_fit import Dataset, generate_decoy, DistributionSpec
+from deniable_fit import Dataset, generate_decoy, DistributionSpec, linear_regression_model
 from deniable_fit.cli import main, parse_distribution, write_model_file
 from deniable_fit.deniability import DiscreteUniform, ContinuousUniform, Exponential
 
@@ -76,8 +76,6 @@ class TestCraftAndVerify:
 
     def test_perfect_fit_decoy_exits_2(self, workspace, capsys, rng):
         tmp, model_path, _, p_star = workspace
-        from deniable_fit import linear_regression_model
-
         model = linear_regression_model(5)
         X = rng.uniform(1.0, 8.0, size=(10, 5))
         exact = Dataset(X, model.predict_all(X, p_star))
@@ -117,12 +115,28 @@ class TestCraftAndVerify:
         assert "InvalidArguments" in capsys.readouterr().err
 
     def test_nan_zero_tol_exits_1(self, workspace, capsys):
+        # craft has no --zero-tol option; like any unknown option it is a usage error.
         tmp, model_path, decoy_path, _ = workspace
         cert_path = tmp / "cert.json"
         assert main(["craft", str(model_path), str(decoy_path), str(cert_path),
                      "--zero-tol", "nan"]) == 1
-        assert "InvalidArguments" in capsys.readouterr().err
+        assert "unrecognized arguments: --zero-tol nan" in capsys.readouterr().err
         assert not cert_path.exists()
+
+    def test_usage_errors_exit_1_and_help_exits_0(self, workspace, capsys):
+        tmp, model_path, decoy_path, _ = workspace
+        cert_path = tmp / "cert.json"
+        assert main(["craft", str(model_path), str(decoy_path), str(cert_path),
+                     "--zero-tol", "1e-9"]) == 1
+        assert main(["verify", str(cert_path), str(model_path), "--tolerance", "abc"]) == 1
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --zero-tol 1e-9" in err
+        assert "invalid float value: 'abc'" in err
+        assert not cert_path.exists()
+        assert main(["craft", "--help"]) == 0
+        out = capsys.readouterr().out
+        assert "--mae" in out
+        assert "--zero-tol" not in out
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_model_parameter_exits_1(self, workspace, capsys, value):

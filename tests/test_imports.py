@@ -8,7 +8,9 @@ from outside the standard library is a dependency in ``pyproject.toml``.
 """
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -137,3 +139,13 @@ def test_third_party_imports_are_declared():
     # The check sees each runtime dependency: dropping one from the list fails it.
     without_orjson = [d for d in dependencies if not d.startswith("orjson")]
     assert undeclared_imports(sources, without_orjson) == ["orjson"]
+
+
+def test_import_leaves_orjson_unloaded():
+    # Only certificate I/O needs orjson; bound, experiment and adversary never load it.
+    path = [str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    code = "import sys, deniable_fit, deniable_fit.cli; print('orjson' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"

@@ -5,7 +5,6 @@ from numpy.testing import assert_allclose
 from deniable_fit import (
     DimensionMismatch,
     DimensionTooSmall,
-    InvalidArguments,
     ZeroErrorVector,
     nullspace_projector,
     numerical_rank,
@@ -40,11 +39,6 @@ class TestNullspaceProjector:
         with pytest.raises(DimensionTooSmall):
             nullspace_projector([3.0])
 
-    @pytest.mark.parametrize("zero_tol", [0.0, -1.0, float("nan")])
-    def test_bad_zero_tol_rejected(self, zero_tol):
-        with pytest.raises(InvalidArguments):
-            nullspace_projector([1.0, 2.0], zero_tol=zero_tol)
-
     @pytest.mark.parametrize("n", [2, 3, 5, 11, 30])
     def test_annihilation_and_orthonormal_rows(self, n, rng):
         for _ in range(20):
@@ -74,8 +68,9 @@ class TestNullspaceProjector:
 
 class TestNumericalRank:
     def test_near_singular_with_explicit_tol(self):
-        M = np.array([[1.0, 0.0], [0.0, 1e-13]])
-        assert numerical_rank(M, tol=1e-10) == 1
+        # The tolerance is fixed at max(rows, cols) * eps = 4.4e-16 relative to s[0].
+        assert numerical_rank(np.array([[1.0, 0.0], [0.0, 1e-17]])) == 1
+        assert numerical_rank(np.array([[1.0, 0.0], [0.0, 1e-13]])) == 2
 
     def test_zero_matrix(self):
         assert numerical_rank(np.zeros((3, 4))) == 0
