@@ -15,7 +15,7 @@ import math
 import numbers
 import os
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import ClassVar, Optional, Tuple, Union
 
 import numpy as np
 
@@ -85,8 +85,10 @@ def _require_finite(owner, *values) -> None:
 
 @dataclass(frozen=True)
 class DiscreteUniform:
-    """Uniform over the integers lo..hi inclusive."""
+    """Uniform over the integers lo..hi inclusive; written "du:lo:hi"."""
 
+    token: ClassVar[str] = "du"
+    quantized: ClassVar[bool] = False
     lo: int
     hi: int
 
@@ -95,11 +97,23 @@ class DiscreteUniform:
         if self.hi < self.lo:
             raise NonPositiveSupport(f"empty integer range {self.lo}..{self.hi}")
 
+    @classmethod
+    def parse(cls, args) -> "DiscreteUniform":
+        return cls(*map(int, args))
+
+    def entropy(self, resolution: float) -> float:
+        return math.log2(self.hi - self.lo + 1)
+
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return rng.integers(self.lo, self.hi + 1, size=n).astype(float)
+
 
 @dataclass(frozen=True)
 class ContinuousUniform:
-    """Uniform over the real interval [lo, hi]."""
+    """Uniform over the real interval [lo, hi]; written "cu:lo:hi"."""
 
+    token: ClassVar[str] = "cu"
+    quantized: ClassVar[bool] = True
     lo: float
     hi: float
 
@@ -108,11 +122,23 @@ class ContinuousUniform:
         if self.hi <= self.lo:
             raise NonPositiveSupport(f"empty interval [{self.lo}, {self.hi}]")
 
+    @classmethod
+    def parse(cls, args) -> "ContinuousUniform":
+        return cls(*map(float, args))
+
+    def entropy(self, resolution: float) -> float:
+        return math.log2((self.hi - self.lo) / resolution)
+
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return rng.uniform(self.lo, self.hi, size=n)
+
 
 @dataclass(frozen=True)
 class Exponential:
-    """Exponential with the given rate (mean 1/rate)."""
+    """Exponential with the given rate (mean 1/rate); written "exp:rate"."""
 
+    token: ClassVar[str] = "exp"
+    quantized: ClassVar[bool] = True
     rate: float
 
     def __post_init__(self):
@@ -120,7 +146,20 @@ class Exponential:
         if self.rate <= 0.0:
             raise NonPositiveSupport(f"rate must be positive, got {self.rate}")
 
+    @classmethod
+    def parse(cls, args) -> "Exponential":
+        return cls(*map(float, args))
 
+    def entropy(self, resolution: float) -> float:
+        return (1.0 - math.log(self.rate) + math.log(1.0 / resolution)) / math.log(2.0)
+
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return rng.exponential(1.0 / self.rate, size=n)
+
+
+# Every kind of record attribute.  Each has its CLI ``token``, ``parse(args)``
+# from its argument strings (TypeError for a wrong count, ValueError for a
+# malformed one), ``entropy`` and ``sample``; ``quantized`` kinds are continuous.
 AttributeDist = Union[DiscreteUniform, ContinuousUniform, Exponential]
 
 
@@ -138,16 +177,6 @@ class DistributionSpec:
         return cls(tuple(DiscreteUniform(lo, hi) for _ in range(count)))
 
 
-def _attribute_entropy(dist: AttributeDist, resolution: float) -> float:
-    if isinstance(dist, DiscreteUniform):
-        return math.log2(dist.hi - dist.lo + 1)
-    if isinstance(dist, ContinuousUniform):
-        return math.log2((dist.hi - dist.lo) / resolution)
-    if isinstance(dist, Exponential):
-        return (1.0 - math.log(dist.rate) + math.log(1.0 / resolution)) / math.log(2.0)
-    raise InvalidArguments(f"unknown distribution {dist!r}")
-
-
 def entropy_per_record(spec: DistributionSpec, resolution: float = DEFAULT_RESOLUTION) -> float:
     """Bits of entropy in one record drawn from ``spec``.
 
@@ -159,7 +188,7 @@ def entropy_per_record(spec: DistributionSpec, resolution: float = DEFAULT_RESOL
         raise InvalidArguments("record needs at least one attribute")
     if not _is_finite(resolution) or resolution <= 0.0:
         raise InvalidArguments("resolution must be positive and finite")
-    return float(sum(_attribute_entropy(a, resolution) for a in spec.attributes))
+    return float(sum(a.entropy(resolution) for a in spec.attributes))
 
 
 @dataclass(frozen=True)
@@ -211,16 +240,6 @@ def deniability_check(k_bits: float, entropy_bits: float, n: int) -> Deniability
 # Decoy data
 # ---------------------------------------------------------------------------
 
-def _sample_column(rng: np.random.Generator, dist: AttributeDist, n: int) -> np.ndarray:
-    if isinstance(dist, DiscreteUniform):
-        return rng.integers(dist.lo, dist.hi + 1, size=n).astype(float)
-    if isinstance(dist, ContinuousUniform):
-        return rng.uniform(dist.lo, dist.hi, size=n)
-    if isinstance(dist, Exponential):
-        return rng.exponential(1.0 / dist.rate, size=n)
-    raise InvalidArguments(f"unknown distribution {dist!r}")
-
-
 def generate_decoy(
     input_spec: DistributionSpec,
     response_spec: DistributionSpec,
@@ -234,8 +253,8 @@ def generate_decoy(
         raise InvalidArguments("input and response specs need at least one attribute")
     rng_x = substream(seed, "decoy-inputs")
     rng_y = substream(seed, "decoy-responses")
-    X = np.column_stack([_sample_column(rng_x, a, n) for a in input_spec.attributes])
-    Y = np.column_stack([_sample_column(rng_y, a, n) for a in response_spec.attributes])
+    X = np.column_stack([a.sample(rng_x, n) for a in input_spec.attributes])
+    Y = np.column_stack([a.sample(rng_y, n) for a in response_spec.attributes])
     return Dataset(inputs=X, responses=Y)
 
 
@@ -582,9 +601,14 @@ def verify_denial(
     or does not annihilate its column of the stored residual.  Then refits
     under the certified norms from the certified start point, with the
     package's optimizer settings, and reports the max per-coordinate
-    deviation from p*.  A ``tolerance`` that is not positive and finite, or
-    a p* with a NaN or infinite entry, raises InvalidArguments.
+    deviation from p*.  A model whose descriptor differs from the
+    certificate's (checked first), a ``tolerance`` that is not positive and
+    finite, or a p* with a NaN or infinite entry raises InvalidArguments.
     """
+    descriptor = model.descriptor()
+    if any(certificate.model_descriptor.get(key) != descriptor[key] for key in descriptor):
+        raise InvalidArguments(f"certificate was issued for {certificate.model_descriptor}, "
+                               f"model file is {descriptor}")
     if not _is_finite(tolerance) or tolerance <= 0.0:
         raise InvalidArguments("tolerance must be positive and finite")
     p_star = np.asarray(p_star, dtype=float).reshape(-1)

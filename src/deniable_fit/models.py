@@ -24,19 +24,19 @@ BITS_PER_PARAM = 64
 HEADER_BITS = 128
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
-    """n samples of m input attributes paired with k response attributes."""
+    """n samples of m input attributes paired with k response attributes (frozen)."""
 
     inputs: np.ndarray
     responses: np.ndarray
 
     def __post_init__(self):
-        self.inputs = np.atleast_2d(np.asarray(self.inputs, dtype=float))
+        object.__setattr__(self, "inputs", np.atleast_2d(np.asarray(self.inputs, dtype=float)))
         responses = np.asarray(self.responses, dtype=float)
         if responses.ndim == 1:
             responses = responses[:, None]
-        self.responses = responses
+        object.__setattr__(self, "responses", responses)
         if self.inputs.ndim != 2 or self.responses.ndim != 2:
             raise DimensionMismatch("inputs and responses must be 2-D")
         if self.inputs.shape[0] != self.responses.shape[0]:

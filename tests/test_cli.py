@@ -1,11 +1,77 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
 
 from deniable_fit import Dataset, generate_decoy, DistributionSpec, linear_regression_model
+from deniable_fit import DeniableFitError, InvalidArguments
+from deniable_fit import cli
 from deniable_fit.cli import main, parse_distribution, write_model_file
 from deniable_fit.deniability import DiscreteUniform, ContinuousUniform, Exponential
+
+
+def reference_parse_distribution(text: str) -> DistributionSpec:
+    """The --dist grammar as an explicit ladder over the entry's words.
+
+    This is the parser the regular expression in ``cli`` replaced, except
+    that a repeat count that is not an integer raises InvalidArguments.
+    """
+    attributes = []
+    for raw_entry in text.split(","):
+        entry = raw_entry.replace("×", "x").strip()
+        if not entry:
+            continue
+        count = "1"
+        parts = entry.split()
+        if len(parts) == 3 and parts[1] == "x":
+            entry, count = parts[0], parts[2]
+        elif len(parts) == 2 and parts[1].startswith("x"):
+            entry, count = parts[0], parts[1][1:]
+        elif len(parts) == 1:
+            entry = parts[0]
+            if "x" in entry.split(":")[-1]:
+                entry, _, count = entry.rpartition("x")
+        else:
+            raise InvalidArguments(f"cannot parse distribution entry {raw_entry!r}")
+        fields = entry.split(":")
+        kind = fields[0].lower()
+        try:
+            count = int(count)
+            if kind == "du" and len(fields) == 3:
+                dist = DiscreteUniform(int(fields[1]), int(fields[2]))
+            elif kind == "cu" and len(fields) == 3:
+                dist = ContinuousUniform(float(fields[1]), float(fields[2]))
+            elif kind == "exp" and len(fields) == 2:
+                dist = Exponential(float(fields[1]))
+            else:
+                raise InvalidArguments(f"cannot parse distribution entry {raw_entry!r}")
+        except ValueError:
+            raise InvalidArguments(f"cannot parse distribution entry {raw_entry!r}") from None
+        if count < 1:
+            raise InvalidArguments(f"repeat count must be positive in {raw_entry!r}")
+        attributes.extend([dist] * count)
+    if not attributes:
+        raise InvalidArguments(f"no attributes in distribution spec {text!r}")
+    return DistributionSpec(tuple(attributes))
+
+
+def _outcome(parse, text):
+    """The attributes parsed from ``text``, or the type of the package error raised."""
+    try:
+        return parse(text).attributes
+    except DeniableFitError as exc:
+        return type(exc)
+
+
+TOKENS = ["du", "cu", "exp", "nu", "DU", "Exp", ""]
+ARGS = ["", ":1", ":1:8", ":1:8:9", ":-3:3", ":8:1", ":0:1.5", ":2.5", ":a:b", ":0", ":nan",
+        ":0:inf", ":1:", ":", "::", ":1e1_0", ":1x:8"]
+REPEATS = ["", " x {}", " x{}", "x{}", " × {}", "×{}", " ×{}", "  x\t{}", "\u00a0x\u00a0{}",
+           " X {}", " x {} 2", " y {}", " xx{}", "x {}", " x x{}", "x{}:1", "x{}x"]
+COUNTS = ["3", "1", "0", "-2", "+2", "2.5", "ten", "", "1_0", "x", "٣"]
+ENTRIES = [tok + arg + rep.format(n)
+           for tok, arg, rep, n in itertools.product(TOKENS, ARGS, REPEATS, COUNTS)]
 
 
 @pytest.fixture
@@ -138,6 +204,20 @@ class TestCraftAndVerify:
         assert "--mae" in out
         assert "--zero-tol" not in out
 
+    def test_repeated_calls_in_one_process(self, workspace, capsys, monkeypatch):
+        # main parses with the parser built at import; a call must not leak into the next.
+        monkeypatch.setattr(cli, "build_parser", None)
+        tmp, model_path, decoy_path, _ = workspace
+        mae, plain, again = tmp / "mae.json", tmp / "plain.json", tmp / "again.json"
+        assert main(["craft", str(model_path), str(decoy_path), str(mae), "--mae"]) == 0
+        assert main(["craft", str(model_path), str(decoy_path), str(plain)]) == 0
+        assert json.loads(mae.read_text())["norms"][0]["variant"] == "one_norm"
+        assert json.loads(plain.read_text())["norms"][0]["variant"] == "euclidean"
+        assert main(["craft", "--help"]) == 0
+        assert main(["craft", str(model_path), str(decoy_path), str(again)]) == 0
+        assert again.read_bytes() == plain.read_bytes()
+        capsys.readouterr()
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_model_parameter_exits_1(self, workspace, capsys, value):
         tmp, model_path, decoy_path, _ = workspace
@@ -222,11 +302,28 @@ class TestBound:
         assert spec.attributes == (DiscreteUniform(-3, 3), DiscreteUniform(-3, 3))
 
     def test_parse_distribution_rejects_garbage(self):
-        from deniable_fit import InvalidArguments
-
-        for bad in ("", "nu:1:2", "du:1", "du:1:8 y 3", "exp:abc"):
+        for bad in ("", "nu:1:2", "du:1", "du:1:8 y 3", "exp:abc",
+                    "du:1:8 x ten", "du:1:8x", "du:1:8 x 2.5"):
             with pytest.raises(InvalidArguments):
                 parse_distribution(bad)
+
+    def test_parse_distribution_matches_the_reference_grammar(self):
+        # Every entry alone, then entries joined with stray commas and blanks.
+        few = ["du:1:8", "cu:0:1 x 2", "exp:5x3", "du:1:8 x 0", "nu:1:2", "du:8:1", " "]
+        texts = ENTRIES + ["", ",", " , ", ",,"] + [
+            form.format(a, b)
+            for a, b in itertools.product(few, repeat=2)
+            for form in ("{},{}", "{},,{}", ",{}, {},", "{} ,\t{}")
+        ]
+        mismatches = [
+            (text, got, want)
+            for text in texts
+            if (got := _outcome(parse_distribution, text))
+            != (want := _outcome(reference_parse_distribution, text))
+        ]
+        assert mismatches == []
+        accepted = sum(isinstance(_outcome(parse_distribution, t), tuple) for t in texts)
+        assert 0 < accepted < len(texts)
 
 
 class TestExperiment:

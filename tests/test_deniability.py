@@ -373,6 +373,15 @@ class TestVerifyDenial:
         with pytest.raises(CertificateTampered):
             verify_denial(cert, model, p_star + 0.1)
 
+    def test_model_of_another_descriptor_rejected(self, rng):
+        model, p_star, decoy = small_problem(rng)
+        cert = craft_denial(model, p_star, decoy, seed=1)
+        renamed = dataclasses.replace(model, family="renamed")
+        for other in (renamed, two_output_linear_model(model.input_dim)):
+            with pytest.raises(InvalidArguments, match="certificate was issued for"):
+                verify_denial(cert, other, p_star)
+        assert verify_denial(cert, model, p_star).passed
+
     def test_multi_output_verification(self, rng):
         model = two_output_linear_model(3)
         p_star = rng.uniform(-3.0, 3.0, size=4)
@@ -548,6 +557,15 @@ class TestCertificateValues:
         assert cert.to_dict() == before
         assert not cert.decoy.inputs.flags.writeable
         assert not cert.decoy.responses.flags.writeable
+        assert verify_denial(cert, model, p_star).passed
+
+    def test_certificate_decoy_cannot_be_rebound(self, rng):
+        model, p_star, decoy = small_problem(rng)
+        cert = craft_denial(model, p_star, decoy, seed=1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cert.decoy.inputs = np.zeros((10, 5))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cert.decoy.responses = np.zeros((10, 1))
         assert verify_denial(cert, model, p_star).passed
 
     @pytest.mark.parametrize("seed", [2 ** 64, -1])
