@@ -66,19 +66,39 @@ def _resolve_seed(value: Optional[int]) -> int:
 
 
 def load_model_file(path) -> tuple[ParamModel, np.ndarray]:
-    """Read a fitted-model JSON file: family, input_dim, params."""
+    """Read a fitted-model JSON file: an object with family, input_dim and params.
+
+    ``family`` must be "linear_regression", ``input_dim`` an integer of at
+    least 1 and ``params`` a flat list of input_dim + 1 finite numbers;
+    anything else raises InvalidArguments.
+    """
     with open(path) as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise InvalidArguments(
+            f"{path}: a model file holds a JSON object, got {type(payload).__name__}"
+        )
     family = payload.get("family")
     if family != "linear_regression":
-        raise InvalidArguments(f"unsupported model family {family!r}")
-    input_dim = int(payload["input_dim"])
-    params = np.asarray(payload["params"], dtype=float)
-    model = linear_regression_model(input_dim)
-    if params.size != model.param_dim:
+        raise InvalidArguments(f"{path}: unsupported model family {family!r}")
+    input_dim, params = payload.get("input_dim"), payload.get("params")
+    if isinstance(input_dim, bool) or not isinstance(input_dim, int) or input_dim < 1:
         raise InvalidArguments(
-            f"{path}: expected {model.param_dim} parameters, got {params.size}"
+            f"{path}: input_dim must be an integer of at least 1, got {input_dim!r}"
         )
+    if not isinstance(params, list) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in params
+    ):
+        raise InvalidArguments(f"{path}: params must be a flat list of numbers")
+    model = linear_regression_model(input_dim)
+    if len(params) != model.param_dim:
+        raise InvalidArguments(
+            f"{path}: expected {model.param_dim} parameters, got {len(params)}"
+        )
+    try:
+        params = np.array(params, dtype=float)
+    except OverflowError:  # an integer beyond float range
+        raise InvalidArguments(f"{path}: a parameter is beyond float range") from None
     if not np.isfinite(params).all():
         raise InvalidArguments(f"{path}: parameters hold a NaN or infinite value")
     return model, params

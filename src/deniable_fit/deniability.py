@@ -262,12 +262,17 @@ def generate_decoy(
 # Denial certificates
 # ---------------------------------------------------------------------------
 
+# Most floats encoded by one orjson call when writing a matrix: about 100 kB of text.
+BLOCK = 4096
+
+
 def _write_compact(write, value, orjson) -> None:
-    """Write ``value`` as compact JSON bytes, one key, scalar, flat list or matrix row per call.
+    """Write ``value`` as compact JSON bytes, streaming dict entries and list items.
 
     A numpy array is encoded from its buffer, so a matrix is never turned
-    into Python floats.  ``orjson`` is the module, which callers import on
-    first use.
+    into Python floats: a 1-D array in one call, a 2-D array in blocks of
+    about ``BLOCK`` floats (whole rows), so its text never exists in memory
+    as a whole.  ``orjson`` is the module, which callers import on first use.
     """
     if isinstance(value, dict):
         write(b"{")
@@ -275,13 +280,22 @@ def _write_compact(write, value, orjson) -> None:
             write((b"," if i else b"") + orjson.dumps(key) + b":")
             _write_compact(write, item, orjson)
         write(b"}")
-    elif (isinstance(value, (list, np.ndarray)) and len(value)
-          and isinstance(value[0], (list, dict, np.ndarray))):
+    elif isinstance(value, list):
         write(b"[")
         for i, item in enumerate(value):
             if i:
                 write(b",")
             _write_compact(write, item, orjson)
+        write(b"]")
+    elif isinstance(value, np.ndarray) and value.ndim == 2:
+        rows = max(1, BLOCK // max(1, value.shape[1]))
+        write(b"[")
+        for start in range(0, len(value), rows):
+            if start:
+                write(b",")
+            # A C-ordered copy where needed; the block's own brackets are dropped.
+            block = np.ascontiguousarray(value[start:start + rows])
+            write(memoryview(orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY))[1:-1])
         write(b"]")
     else:
         if isinstance(value, np.ndarray):
@@ -419,8 +433,10 @@ class DenialCertificate:
 
         Floats are written by orjson's shortest round-trip (Ryu) formatter,
         so every JSON parser reads back the same float64 values.  The text is
-        streamed one matrix row at a time straight from the arrays, so
-        neither the text nor ``to_dict()`` ever exists in memory as a whole.
+        streamed straight from the arrays, each matrix in blocks of whole rows
+        of about ``BLOCK`` (4,096) floats, so neither the text nor
+        ``to_dict()`` ever exists in memory as a whole: the writer holds one
+        block at a time, whatever the size of the decoy.
 
         The text goes to a new temporary file next to ``path``, which then
         replaces ``path`` in one rename.  If writing fails, the temporary

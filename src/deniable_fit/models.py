@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -74,33 +75,55 @@ class Dataset:
 
     @classmethod
     def from_csv(cls, path) -> "Dataset":
+        """Read a file in ``to_csv``'s layout: header x1..xm,y1..yk, one row per sample.
+
+        Fields may be quoted, blank lines are skipped and ``#`` starts no
+        comment.  A wrong header, a row of the wrong length, or a field that
+        is not a finite number raises InvalidArguments naming the path (and
+        the 1-based line of the first bad row); a file without samples
+        raises EmptyInput.
+        """
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise EmptyInput(f"{path} is empty") from None
-            m = sum(1 for name in header if name.startswith("x"))
-            k = sum(1 for name in header if name.startswith("y"))
-            expected = [f"x{i + 1}" for i in range(m)] + [f"y{j + 1}" for j in range(k)]
-            if header != expected or m == 0 or k == 0:
-                raise InvalidArguments(
-                    f"{path}: header must read x1..xm,y1..yk, got {header!r}"
-                )
-            rows = []
-            for line_no, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != m + k:
-                    raise InvalidArguments(f"{path}:{line_no}: expected {m + k} fields")
-                try:
-                    rows.append([float(v) for v in row])
-                except ValueError as exc:
-                    raise InvalidArguments(f"{path}:{line_no}: {exc}") from None
-        if not rows:
+            header = next(csv.reader(fh), None)
+            body = fh.read()
+        if header is None:
+            raise EmptyInput(f"{path} is empty")
+        m = sum(1 for name in header if name.startswith("x"))
+        k = sum(1 for name in header if name.startswith("y"))
+        expected = [f"x{i + 1}" for i in range(m)] + [f"y{j + 1}" for j in range(k)]
+        if header != expected or m == 0 or k == 0:
+            raise InvalidArguments(f"{path}: header must read x1..xm,y1..yk, got {header!r}")
+        if not body.strip("\r\n"):
             raise EmptyInput(f"{path} has a header but no samples")
-        data = np.asarray(rows, dtype=float)
+        try:
+            data = _parse_rows(body, m + k)
+        except ValueError as exc:
+            # Name the first bad line.  An error that no single line shows,
+            # such as a quoted field spanning lines, names only the file.
+            for line_no, line in enumerate(io.StringIO(body, newline=""), start=2):
+                if line.strip("\r\n"):
+                    try:
+                        _parse_rows(line, m + k)
+                    except ValueError as line_exc:
+                        reason = str(line_exc).replace(" at row 0, column", " in field")
+                        raise InvalidArguments(f"{path}:{line_no}: {reason}") from None
+            raise InvalidArguments(f"{path}: {exc}") from None
         return cls(inputs=data[:, :m], responses=data[:, m:])
+
+
+def _parse_rows(text: str, fields: int) -> np.ndarray:
+    """The float rows of CSV ``text``, which holds at least one non-blank line.
+
+    Blank lines are skipped.  Raises ValueError unless every other line
+    holds ``fields`` finite numbers.
+    """
+    data = np.loadtxt(io.StringIO(text, newline=""), delimiter=",", quotechar='"',
+                      comments=None, ndmin=2)
+    if data.shape[1] != fields:
+        raise ValueError(f"expected {fields} fields")
+    if not np.isfinite(data).all():
+        raise ValueError("a field is NaN or infinite")
+    return data
 
 
 def _evaluate(evaluator: Callable, X: np.ndarray, p: np.ndarray, shape: tuple) -> np.ndarray:

@@ -231,6 +231,44 @@ class TestCraftAndVerify:
         assert main(["craft", str(bad_path), str(decoy_path), str(tmp / "c2.json")]) == 1
         assert capsys.readouterr().err.count("NaN or infinite") == 2
 
+    @pytest.mark.parametrize("edit", [
+        lambda payload: [1, 2],
+        lambda payload: dict(payload, input_dim=None),
+        lambda payload: dict(payload, input_dim=5.5),
+        lambda payload: dict(payload, input_dim=True, params=payload["params"][:2]),
+        lambda payload: dict(payload, input_dim=0),
+        lambda payload: {key: v for key, v in payload.items() if key != "params"},
+        lambda payload: dict(payload, params=[[v] for v in payload["params"]]),
+        lambda payload: dict(payload, params=[True] + payload["params"][1:]),
+        lambda payload: dict(payload, params=[10 ** 400] + payload["params"][1:]),
+    ], ids=["array", "null-input-dim", "float-input-dim", "bool-input-dim", "zero-input-dim",
+            "no-params", "nested-params", "bool-param", "huge-int-param"])
+    def test_malformed_model_file_exits_1(self, workspace, capsys, edit):
+        tmp, model_path, decoy_path, _ = workspace
+        cert_path = tmp / "cert.json"
+        assert main(["craft", str(model_path), str(decoy_path), str(cert_path), "--seed", "5"]) == 0
+        bad_path = tmp / "bad_model.json"
+        bad_path.write_text(json.dumps(edit(json.loads(model_path.read_text()))))
+        assert main(["verify", str(cert_path), str(bad_path)]) == 1
+        assert main(["craft", str(bad_path), str(decoy_path), str(tmp / "c2.json")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert all(line.startswith(f"error: InvalidArguments: {bad_path}: ") for line in err)
+        assert not (tmp / "c2.json").exists()
+
+    @pytest.mark.parametrize("field", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_decoy_field_exits_1(self, workspace, capsys, field):
+        tmp, model_path, decoy_path, _ = workspace
+        lines = decoy_path.read_text().splitlines()
+        lines[4] = ",".join(lines[4].split(",")[:-1] + [field])
+        bad = tmp / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["craft", str(model_path), str(bad), str(tmp / "c.json")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: InvalidArguments: {bad}:5: a field is NaN or infinite\n"
+        )
+        assert not (tmp / "c.json").exists()
+
     def test_mae_variant(self, workspace):
         tmp, model_path, decoy_path, _ = workspace
         cert_path = tmp / "cert.json"

@@ -45,6 +45,7 @@ from deniable_fit import (
     OptimizerConfig,
 )
 
+from deniable_fit import deniability
 from deniable_fit.cli import main, write_model_file
 
 from conftest import two_output_linear_model
@@ -604,6 +605,34 @@ def _bits(value):
     return type(value), value
 
 
+def reference_write_compact(write, value):
+    """The certificate writer before blocks: one key, scalar, flat list or matrix row per call."""
+    if isinstance(value, dict):
+        write(b"{")
+        for i, (key, item) in enumerate(value.items()):
+            write((b"," if i else b"") + orjson.dumps(key) + b":")
+            reference_write_compact(write, item)
+        write(b"}")
+    elif (isinstance(value, (list, np.ndarray)) and len(value)
+          and isinstance(value[0], (list, dict, np.ndarray))):
+        write(b"[")
+        for i, item in enumerate(value):
+            if i:
+                write(b",")
+            reference_write_compact(write, item)
+        write(b"]")
+    else:
+        if isinstance(value, np.ndarray):
+            value = np.ascontiguousarray(value)
+        write(orjson.dumps(value, option=orjson.OPT_SERIALIZE_NUMPY))
+
+
+def _fortran_ordered(cert):
+    """``cert`` with its decoy and residual held in Fortran order."""
+    decoy = Dataset(*(np.asfortranarray(a) for a in (cert.decoy.inputs, cert.decoy.responses)))
+    return dataclasses.replace(cert, decoy=decoy, residual=np.asfortranarray(cert.residual))
+
+
 class TestCertificateWriting:
     @pytest.mark.parametrize("variant", ["euclidean", "one_norm"])
     @pytest.mark.parametrize("outputs", [1, 2])
@@ -621,8 +650,7 @@ class TestCertificateWriting:
 
     def test_fortran_ordered_arrays_are_written(self, rng, tmp_path):
         _, _, cert = _certificate(rng, 2, 10, "euclidean")
-        decoy = Dataset(*(np.asfortranarray(a) for a in (cert.decoy.inputs, cert.decoy.responses)))
-        clone = dataclasses.replace(cert, decoy=decoy, residual=np.asfortranarray(cert.residual))
+        clone = _fortran_ordered(cert)
         assert not clone.residual.flags.c_contiguous
         path = tmp_path / "cert.json"
         clone.to_json(path)
@@ -678,6 +706,62 @@ class TestCertificateWriting:
         finally:
             tracemalloc.stop()
         assert write_peak <= 1.25 * payload_peak
+
+    @pytest.mark.parametrize("variant", ["euclidean", "one_norm"])
+    @pytest.mark.parametrize("outputs", [1, 2])
+    @pytest.mark.parametrize("n", [10, 20, 130, 320])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_file_bytes_match_the_row_by_row_writer(self, rng, tmp_path, variant, outputs, n,
+                                                    order):
+        _, _, cert = _certificate(rng, outputs, n, variant)
+        if order == "F":
+            cert = _fortran_ordered(cert)
+        path = tmp_path / "cert.json"
+        cert.to_json(path)
+        expected = []
+        reference_write_compact(expected.append, cert._fields())
+        assert path.read_bytes() == b"".join(expected) + b"\n"
+
+    @pytest.mark.parametrize("block", [1, 5, 11, 40])
+    def test_block_boundaries_do_not_change_the_bytes(self, rng, tmp_path, monkeypatch, block):
+        # From a BLOCK narrower than a row (one row per block) to several rows per block,
+        # with a shorter last block.
+        _, _, cert = _certificate(rng, 2, 10, "one_norm")
+        monkeypatch.setattr(deniability, "BLOCK", block)
+        path = tmp_path / "cert.json"
+        cert.to_json(path)
+        expected = []
+        reference_write_compact(expected.append, cert._fields())
+        assert path.read_bytes() == b"".join(expected) + b"\n"
+
+    @pytest.mark.parametrize("array", [
+        np.zeros((3, 0)), np.zeros((0, 3)), np.zeros(0), np.arange(8.0).reshape(2, 2, 2),
+        np.float64(1.5), np.asfortranarray(np.arange(15.0).reshape(5, 3)),
+    ], ids=["no-columns", "no-rows", "empty-vector", "3-d", "scalar", "fortran"])
+    def test_edge_shapes_match_one_dumps(self, monkeypatch, array):
+        monkeypatch.setattr(deniability, "BLOCK", 2)
+
+        def payload(a):
+            return {"a": a, "b": [a, {"c": a}], "d": []}
+
+        written = []
+        deniability._write_compact(written.append, payload(array), orjson)
+        c_ordered = np.ascontiguousarray(array) if isinstance(array, np.ndarray) else array
+        assert b"".join(written) == orjson.dumps(payload(c_ordered),
+                                                 option=orjson.OPT_SERIALIZE_NUMPY)
+
+    @pytest.mark.parametrize("n", [320, 640])
+    def test_write_memory_is_bounded_whatever_the_size(self, rng, tmp_path, n):
+        # One block of text at a time: a one-shot dump of the n=320 file alone is 2.3 MB.
+        _, _, cert = _certificate(rng, 1, n, "euclidean")
+        tracemalloc.start()
+        try:
+            cert.to_json(tmp_path / "cert.json")
+            write_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "cert.json").stat().st_size > 2_000_000
+        assert write_peak < 1_000_000
 
 
 class TestAdversaryRecover:

@@ -1,3 +1,7 @@
+import csv
+import re
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -244,4 +248,90 @@ class TestDataset:
         path = tmp_path / "empty.csv"
         path.write_text("x1,y1\n")
         with pytest.raises(EmptyInput):
+            Dataset.from_csv(path)
+
+
+def reference_from_csv(path):
+    """The rows of a decoy CSV as the ``csv`` module and ``float()`` read them.
+
+    This is the loop ``Dataset.from_csv`` used before it parsed with
+    ``np.loadtxt``; it returns the float rows, header excluded.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        return np.array([[float(v) for v in row] for row in reader if row], dtype=float)
+
+
+EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+            1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1e23, 9007199254740993.0]
+
+
+class TestCsvReader:
+    @pytest.mark.parametrize("fmt", ["{!r}", "{:.17g}", "{:.30e}", "{:.6e}", '"{!r}"', " {!r} "])
+    def test_fields_parse_bit_for_bit_as_float_does(self, rng, tmp_path, fmt):
+        bits = rng.integers(0, 2 ** 64, size=20_000, dtype=np.uint64)
+        values = bits.view(np.float64)
+        values = np.concatenate([EXTREMES, values[np.isfinite(values)]])
+        values = values[: len(values) // 4 * 4].reshape(-1, 4)
+        path = tmp_path / "records.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write("x1,x2,x3,y1\n")
+            for row in values:
+                fh.write(",".join(fmt.format(float(v)) for v in row) + "\n")
+        data = Dataset.from_csv(path)
+        expected = reference_from_csv(path)
+        got = np.concatenate([data.inputs, data.responses], axis=1)
+        assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+        if fmt in ("{!r}", '"{!r}"', " {!r} "):
+            assert got.view(np.uint64).tolist() == values.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("text, expected", [
+        ("x1,y1\n1,2\n\n\n3,4\n\n", [[1, 2], [3, 4]]),
+        ("x1,y1\r\n1,2\r\n\r\n3,4\r\n", [[1, 2], [3, 4]]),
+        ('x1,y1\n"1.5","-2e3"\n', [[1.5, -2e3]]),
+        ('"x1","y1"\n+1,.5\n', [[1.0, 0.5]]),
+        ("x1,x2,y1\n1,2,3", [[1, 2, 3]]),
+    ], ids=["blank-lines", "crlf", "quoted-fields", "quoted-header", "no-final-newline"])
+    def test_layouts_read_as_the_csv_module_reads_them(self, tmp_path, text, expected):
+        path = tmp_path / "records.csv"
+        path.write_bytes(text.encode())
+        data = Dataset.from_csv(path)
+        got = np.concatenate([data.inputs, data.responses], axis=1)
+        assert got.tolist() == expected
+        assert got.tolist() == reference_from_csv(path).tolist()
+
+    @pytest.mark.parametrize("body, line, reason", [
+        ("1,2\n1,2,3\n", 3, "expected 2 fields"),
+        ("1,2\n\n\n3\n", 5, "expected 2 fields"),
+        ("1\n2\n", 2, "expected 2 fields"),
+        ("1,2\n1,abc\n", 3, "could not convert string 'abc'"),
+        ("1,2\n \n", 3, "could not convert string ' '"),
+        ("#1,2\n", 2, "could not convert string '#1'"),
+        ("1,2 # note\n", 2, "could not convert string '2 # note'"),
+        ("1_000,2\n", 2, "could not convert string '1_000'"),
+        ("1,2\n\nnan,2\n", 4, "a field is NaN or infinite"),
+        ("1,inf\n", 2, "a field is NaN or infinite"),
+        ("1,-Infinity\n", 2, "a field is NaN or infinite"),
+        ("1e400,2\n", 2, "a field is NaN or infinite"),
+    ])
+    def test_bad_rows_are_named_by_path_and_line(self, tmp_path, body, line, reason):
+        path = tmp_path / "bad.csv"
+        path.write_text("x1,y1\n" + body)
+        with pytest.raises(InvalidArguments, match=re.escape(f"{path}:{line}: {reason}")):
+            Dataset.from_csv(path)
+
+    @pytest.mark.parametrize("text", ["x1,y1\n", "x1,y1", "x1,y1\n\n\r\n\n"])
+    def test_no_samples_is_empty_input_without_a_warning(self, tmp_path, text):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(text.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmptyInput, match="has a header but no samples"):
+                Dataset.from_csv(path)
+
+    def test_empty_file_is_empty_input(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(EmptyInput, match="is empty"):
             Dataset.from_csv(path)
