@@ -391,14 +391,19 @@ class DenialCertificate:
     def from_dict(cls, payload: dict) -> "DenialCertificate":
         """Load a certificate, raising InvalidArguments when it is malformed.
 
-        Each norm's construction invariants are checked against its column
-        of the stored residual.
+        The payload and its ``model`` must be JSON objects, and the ``seed``
+        key must be present (``null`` included).  Each norm's construction
+        invariants are checked against its column of the stored residual.
         """
         if not isinstance(payload, dict):
             raise InvalidArguments(f"a certificate is a JSON object, got {type(payload).__name__}")
         schema = payload.get("schema")
         if schema != CERT_SCHEMA:
             raise InvalidArguments(f"unsupported certificate schema {schema!r}")
+        if "seed" not in payload:
+            raise InvalidArguments("malformed certificate: no seed key")
+        if not isinstance(payload.get("model"), dict):
+            raise InvalidArguments("malformed certificate: model is not a JSON object")
         try:
             decoy = Dataset(
                 inputs=np.asarray(payload["decoy"]["inputs"], dtype=float),
@@ -419,7 +424,7 @@ class DenialCertificate:
                 residual=np.asarray(payload["residual"], dtype=float),
                 start=np.asarray(payload["start"], dtype=float),
                 model_descriptor=dict(payload["model"]),
-                seed=payload.get("seed"),
+                seed=payload["seed"],
             )
         except (KeyError, TypeError, ValueError, OverflowError,
                 DimensionMismatch, LengthMismatch) as exc:
@@ -739,7 +744,10 @@ def run_denial_trial(
     records with integer inputs from 1..8 and exponential noise (rate 5) on
     the responses, fits a linear model under the two-norm to obtain p*,
     then crafts a denial from an independent uniform decoy and verifies
-    that the decoy retrains to p* within ``tolerance``.
+    that the decoy retrains to p* within ``tolerance``.  The linear model
+    is declared affine, so the honest fit is the exact least-squares
+    solution (one solve); the replay under the crafted loss is the
+    Nelder-Mead search, and ``converged`` reports it.
     """
     if d < 2 or n < 2:
         raise InvalidArguments("need d >= 2 and n >= 2")

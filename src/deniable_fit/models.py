@@ -20,6 +20,8 @@ from .errors import (
 # Forward-difference base step; scaled by max(1, |p_l|) per coordinate.
 FD_STEP = 1e-6
 
+_NON_FINITE_DERIVATIVE = "model produced NaN or infinity during differentiation"
+
 # Serialization cost model: 64 bits per parameter plus a fixed header.
 BITS_PER_PARAM = 64
 HEADER_BITS = 128
@@ -141,6 +143,11 @@ class ParamModel:
     of outputs; it must be reentrant (no shared mutable state).
     ``analytic_jacobian(X, p)`` returns the (n, k, d) array of parameter
     derivatives, one k x d block per input row.
+
+    ``affine=True`` declares f(X, p) = f(X, 0) + J(X) p, with J the
+    analytic Jacobian, which such a model must carry (InvalidArguments
+    otherwise).  ``fit`` then solves least-squares losses in one step
+    instead of searching.  The declaration is trusted, not checked.
     """
 
     param_dim: int
@@ -149,6 +156,11 @@ class ParamModel:
     evaluator: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     analytic_jacobian: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     family: Optional[str] = None
+    affine: bool = False
+
+    def __post_init__(self):
+        if self.affine and self.analytic_jacobian is None:
+            raise InvalidArguments("an affine model needs an analytic Jacobian")
 
     def predict_all(self, X, p) -> np.ndarray:
         """The (n, k) outputs for the rows of ``X``."""
@@ -187,6 +199,7 @@ def linear_regression_model(input_dim: int) -> ParamModel:
         evaluator=evaluate,
         analytic_jacobian=jac,
         family="linear_regression",
+        affine=True,
     )
 
 
@@ -226,6 +239,22 @@ def residuals(model: ParamModel, data: Dataset, p) -> np.ndarray:
     return bind_residuals(model, data)(p)
 
 
+def jacobian_blocks(model: ParamModel, X: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The model's (n, k, d) analytic Jacobian at ``p``, checked.
+
+    ``X`` is the (n, m) float input matrix and ``p`` a 1-D float array of
+    ``model.param_dim`` entries, which the caller guarantees.  A result of
+    the wrong shape raises DimensionMismatch, a NaN or infinite entry
+    NonFiniteValue.
+    """
+    J = np.asarray(model.analytic_jacobian(X, p), dtype=float)
+    if J.shape != (X.shape[0], model.output_dim, p.size):
+        raise DimensionMismatch(f"analytic Jacobian has shape {J.shape}, expected (n, k, d)")
+    if not np.all(np.isfinite(J)):
+        raise NonFiniteValue(_NON_FINITE_DERIVATIVE)
+    return J
+
+
 def jacobian(
     model: ParamModel,
     data: Dataset,
@@ -244,20 +273,16 @@ def jacobian(
         raise DimensionMismatch("dataset inputs do not match the model")
 
     if model.analytic_jacobian is not None:
-        J = np.asarray(model.analytic_jacobian(data.inputs, p), dtype=float)
-        if J.shape != (data.n, model.output_dim, p.size):
-            raise DimensionMismatch(f"analytic Jacobian has shape {J.shape}, expected (n, k, d)")
-        M = J[:, output_index, :]
-    else:
-        base = model.predict_all(data.inputs, p)[:, output_index]
-        M = np.empty((data.n, p.size))
-        for l in range(p.size):
-            h = FD_STEP * max(1.0, abs(p[l]))
-            shifted = p.copy()
-            shifted[l] += h
-            M[:, l] = (model.predict_all(data.inputs, shifted)[:, output_index] - base) / h
+        return jacobian_blocks(model, data.inputs, p)[:, output_index, :]
+    base = model.predict_all(data.inputs, p)[:, output_index]
+    M = np.empty((data.n, p.size))
+    for l in range(p.size):
+        h = FD_STEP * max(1.0, abs(p[l]))
+        shifted = p.copy()
+        shifted[l] += h
+        M[:, l] = (model.predict_all(data.inputs, shifted)[:, output_index] - base) / h
     if not np.all(np.isfinite(M)):
-        raise NonFiniteValue("model produced NaN or infinity during differentiation")
+        raise NonFiniteValue(_NON_FINITE_DERIVATIVE)
     return M
 
 

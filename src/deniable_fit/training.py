@@ -1,9 +1,11 @@
-"""Derivative-free training: loss specifications and simplex descent.
+"""Training: loss specifications, simplex descent and the affine least-squares step.
 
 The crafted losses have kinks (absolute values, norms of projections), so
 the optimizer must not rely on gradients.  A plain Nelder-Mead simplex with
 the standard coefficients (reflect 1, expand 2, contract 0.5, shrink 0.5)
 handles them and is bit-for-bit deterministic for a fixed configuration.
+Least-squares losses on a model declared affine need no search: ``fit``
+solves them in one step.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .errors import (
     InvalidArguments,
     NonFiniteObjective,
 )
-from .models import Dataset, ParamModel, bind_residuals
+from .models import Dataset, ParamModel, bind_residuals, jacobian_blocks
 # Not called here; perfbench/tracing.py wraps training.residuals by that name.
 from .models import residuals  # noqa: F401
 from .norms import CraftedNorm, crafted_matrix_kernel
@@ -32,6 +34,9 @@ LOSS_MSE = "mse"
 LOSS_RMSE = "rmse"
 LOSS_MAE = "mae"
 LOSS_CRAFTED_MATRIX = "crafted_matrix"
+# Losses minimized exactly where the sum of squared residuals is; ``fit``
+# solves these in one step for an affine model.
+_LEAST_SQUARES_KINDS = frozenset({LOSS_TWO_NORM, LOSS_MSE, LOSS_RMSE})
 
 MAX_ITERS = 40000          # iteration budget shared by all restarts
 SIMPLEX_SCALE = 0.05       # relative offset of the initial simplex vertices
@@ -157,7 +162,8 @@ class FittedModel:
     """Outcome of a minimization run.
 
     ``evaluations`` counts the objective calls of all descents, the one at
-    the start point included.
+    the start point included; the exact step of an affine least-squares
+    fit makes 2 (at the start and at the solution) and 0 iterations.
     """
 
     params: np.ndarray
@@ -310,6 +316,17 @@ def fit(model: ParamModel, data: Dataset, loss: LossSpec, config: OptimizerConfi
 
     The model, the data and the loss are checked once, before the descent;
     each objective evaluation then runs only the model and the reducer.
+
+    A model declared ``affine`` under a least-squares loss (``two_norm``,
+    ``mse`` or ``rmse``, which share their minimizers) is solved, not
+    searched: with r0 the residual at ``config.start`` and J the analytic
+    Jacobian there, reshaped to (n k, d), the result is
+    ``start + lstsq(J, r0)``, the least-squares solution nearest the start
+    (for start 0, exactly ``np.linalg.lstsq`` of the design matrix).  Its
+    ``FittedModel`` reports 0 iterations, ``converged`` and 2 evaluations
+    (the residuals at the start and at the solution).  Every other fit runs
+    ``minimize``.  Both raise NonFiniteObjective when the loss at the start
+    point is NaN or infinite.
     """
     if config.start.size != model.param_dim:
         raise DimensionMismatch(
@@ -317,8 +334,33 @@ def fit(model: ParamModel, data: Dataset, loss: LossSpec, config: OptimizerConfi
         )
     reduce = loss.bind((data.n, data.output_dim))
     residuals_at = bind_residuals(model, data)
+    if model.affine and loss.kind in _LEAST_SQUARES_KINDS:
+        return _solve_affine(model, data.inputs, reduce, residuals_at, config.start)
 
     def objective(p: np.ndarray) -> float:
         return reduce(residuals_at(p))
 
     return minimize(objective, config)
+
+
+def _solve_affine(
+    model: ParamModel,
+    X: np.ndarray,
+    reduce: Callable[[np.ndarray], float],
+    residuals_at: Callable[[np.ndarray], np.ndarray],
+    start: np.ndarray,
+) -> FittedModel:
+    """The exact least-squares fit of an affine model, one solve from ``start``."""
+    r0 = residuals_at(start)
+    f0 = reduce(r0)
+    if not math.isfinite(f0):
+        raise NonFiniteObjective(f"objective is {f0} at the start point")
+    J = jacobian_blocks(model, X, start).reshape(-1, start.size)
+    params = start + np.linalg.lstsq(J, r0.reshape(-1), rcond=None)[0]
+    return FittedModel(
+        params=params,
+        final_loss=reduce(residuals_at(params)),
+        iterations=0,
+        converged=True,
+        evaluations=2,
+    )

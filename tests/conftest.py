@@ -81,6 +81,7 @@ def two_output_linear_model(input_dim: int) -> ParamModel:
         evaluator=evaluate,
         analytic_jacobian=jac,
         family="two_readouts",
+        affine=True,
     )
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 
@@ -16,6 +17,7 @@ from deniable_fit import (
     LossSpec,
     NoEvaluator,
     NonFiniteObjective,
+    NonFiniteValue,
     OptimizerConfig,
     ParamModel,
     crafted_matrix_norm,
@@ -153,6 +155,9 @@ def reference_loss(loss, E):
         "rmse": lambda: float(np.sqrt(float(flat @ flat) / flat.size)),
         "mae": lambda: float(np.abs(flat).mean()),
     }[loss.kind]()
+
+
+LEAST_SQUARES_KINDS = ["two_norm", "mse", "rmse"]   # solved in one step on affine models
 
 
 def bits(value) -> bytes:
@@ -309,6 +314,10 @@ class TestMatchesReferenceLoop:
                 model, data, loss, _ = _crafted_problem(seed, 6, ("euclidean", "one_norm")[seed % 2])
             else:
                 model = linear_regression_model(3)
+                if kind in LEAST_SQUARES_KINDS:
+                    # Declared affine, these are solved, not searched: the same
+                    # evaluator undeclared keeps the Nelder-Mead path covered.
+                    model = dataclasses.replace(model, affine=False)
                 data = Dataset(rng.normal(size=(12, 3)), rng.normal(size=(12, 1)))
                 loss = LossSpec(kind)
             config = OptimizerConfig(start=np.zeros(model.param_dim))
@@ -317,6 +326,78 @@ class TestMatchesReferenceLoop:
                 config,
             )
             assert_same_fit(fit(model, data, loss, config), reference)
+
+
+def _lstsq_step(model, data, start):
+    """start + lstsq(J, r0), computed apart from fit."""
+    r0 = data.responses - model.predict_all(data.inputs, start)
+    J = model.analytic_jacobian(data.inputs, start).reshape(-1, start.size)
+    return start + np.linalg.lstsq(J, r0.reshape(-1), rcond=None)[0]
+
+
+class TestAffineStep:
+    @pytest.mark.parametrize("kind", LEAST_SQUARES_KINDS)
+    @pytest.mark.parametrize("outputs", [1, 2])
+    def test_matches_one_lstsq_bitwise(self, kind, outputs, rng):
+        model = linear_regression_model(3) if outputs == 1 else two_output_linear_model(3)
+        assert model.affine
+        loss = LossSpec(kind)
+        for _ in range(5):
+            data = Dataset(rng.normal(size=(11, 3)), rng.normal(size=(11, outputs)))
+            start = rng.uniform(-3.0, 3.0, size=4)
+            result = fit(model, data, loss, OptimizerConfig(start=start))
+            expected = _lstsq_step(model, data, start)
+            assert result.params.tobytes() == expected.tobytes()
+            assert bits(result.final_loss) == bits(loss.evaluate(residuals(model, data, expected)))
+            assert (result.iterations, result.converged, result.evaluations) == (0, True, 2)
+
+    @pytest.mark.parametrize("kind", LEAST_SQUARES_KINDS)
+    def test_start_zero_is_lstsq_of_the_design_matrix(self, kind, rng):
+        X, y = rng.normal(size=(10, 5)), rng.normal(size=10)
+        result = fit(linear_regression_model(5), Dataset(X, y[:, None]), LossSpec(kind),
+                     OptimizerConfig(start=np.zeros(6)))
+        expected = np.linalg.lstsq(np.column_stack([np.ones(10), X]), y, rcond=None)[0]
+        assert np.array_equal(result.params, expected)
+
+    def test_underdetermined_step_stays_nearest_the_start(self, rng):
+        model = linear_regression_model(6)            # d = 7 parameters, n = 4 records
+        data = Dataset(rng.normal(size=(4, 6)), rng.normal(size=(4, 1)))
+        start = rng.uniform(-3.0, 3.0, size=7)
+        result = fit(model, data, LossSpec.two_norm(), OptimizerConfig(start=start))
+        assert result.final_loss <= 1e-12            # an exact fit exists and is found
+        J = np.column_stack([np.ones(4), data.inputs])
+        null_space = np.linalg.svd(J)[2][4:]         # 3 directions that leave the fit unchanged
+        # Nearest the start: the step has no component along them.
+        assert np.max(np.abs(null_space @ (result.params - start))) <= 1e-12
+        assert not np.allclose(result.params, np.linalg.pinv(J) @ data.responses[:, 0])
+
+    @pytest.mark.parametrize("kind", LEAST_SQUARES_KINDS)
+    @pytest.mark.parametrize("affine", [True, False])
+    def test_non_finite_objective_at_start(self, kind, affine):
+        model = dataclasses.replace(linear_regression_model(2), affine=affine)
+        data = Dataset(np.ones((4, 2)), np.array([[1.0], [np.inf], [2.0], [3.0]]))
+        with pytest.raises(NonFiniteObjective):
+            fit(model, data, LossSpec(kind), OptimizerConfig(start=np.zeros(3)))
+
+    def test_affine_needs_an_analytic_jacobian(self):
+        linear = linear_regression_model(2)
+        with pytest.raises(InvalidArguments):
+            ParamModel(param_dim=3, input_dim=2, output_dim=1, evaluator=linear.evaluator,
+                       affine=True)
+        with pytest.raises(InvalidArguments):
+            dataclasses.replace(linear, analytic_jacobian=None)
+
+    @pytest.mark.parametrize("broken, error", [
+        (lambda J: J[:, 0, :], DimensionMismatch),
+        (lambda J: J * np.nan, NonFiniteValue),
+    ], ids=["shape", "nan"])
+    def test_jacobian_checked(self, broken, error, rng):
+        linear = linear_regression_model(2)
+        model = dataclasses.replace(
+            linear, analytic_jacobian=lambda X, p: broken(linear.analytic_jacobian(X, p)))
+        data = Dataset(rng.normal(size=(6, 2)), rng.normal(size=(6, 1)))
+        with pytest.raises(error):
+            fit(model, data, LossSpec.two_norm(), OptimizerConfig(start=np.zeros(3)))
 
 
 class TestEvaluations:
