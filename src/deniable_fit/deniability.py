@@ -55,6 +55,11 @@ DECOY_RESAMPLE_ATTEMPTS = 10
 SEED_LIMIT = 2 ** 64
 
 
+def _is_seed(value) -> bool:
+    """True for an int (not a bool) in [0, SEED_LIMIT)."""
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < SEED_LIMIT
+
+
 def derive_seed(seed: int, *labels) -> int:
     """Stable 63-bit sub-seed for a named stream under a master seed."""
     if seed is None:
@@ -202,13 +207,7 @@ class DeniabilityReport:
     deniable: bool
 
     def to_dict(self) -> dict:
-        return {
-            "k_bits": self.k_bits,
-            "entropy_per_record_bits": self.entropy_per_record_bits,
-            "n": self.n,
-            "threshold": self.threshold,
-            "deniable": self.deniable,
-        }
+        return dict(vars(self))
 
 
 def deniability_check(k_bits: float, entropy_bits: float, n: int) -> DeniabilityReport:
@@ -351,10 +350,8 @@ class DenialCertificate:
             raise LengthMismatch(
                 f"{len(self.norms)} norms for {residual.shape[1]} residual columns"
             )
-        seed = self.seed
-        if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)
-                                 or not 0 <= seed < SEED_LIMIT):
-            raise InvalidArguments(f"seed must be None or an integer in [0, 2**64), got {seed!r}")
+        if self.seed is not None and not _is_seed(self.seed):
+            raise InvalidArguments(f"seed must be None or an integer in [0, 2**64), got {self.seed!r}")
         arrays = [self.decoy.inputs, self.decoy.responses, residual, start]
         for j, nm in enumerate(self.norms):
             if nm.dim != residual.shape[0]:
@@ -391,29 +388,35 @@ class DenialCertificate:
     def from_dict(cls, payload: dict) -> "DenialCertificate":
         """Load a certificate, raising InvalidArguments when it is malformed.
 
-        The payload and its ``model`` must be JSON objects, and the ``seed``
-        key must be present (``null`` included).  Each norm's construction
-        invariants are checked against its column of the stored residual.
+        The payload, its ``decoy`` and each norm must be JSON objects with
+        exactly the keys ``to_dict()`` writes (``seed`` may be ``null``),
+        and ``model`` must be a JSON object.  Every entry of the arrays and
+        each ``alpha`` must be a JSON number: a string, a boolean or a
+        ``null`` is refused.  Each norm's construction invariants are
+        checked against its column of the stored residual.
         """
         if not isinstance(payload, dict):
             raise InvalidArguments(f"a certificate is a JSON object, got {type(payload).__name__}")
         schema = payload.get("schema")
         if schema != CERT_SCHEMA:
             raise InvalidArguments(f"unsupported certificate schema {schema!r}")
-        if "seed" not in payload:
-            raise InvalidArguments("malformed certificate: no seed key")
-        if not isinstance(payload.get("model"), dict):
+        _require_keys(payload, "certificate", "schema", "seed", "model", "decoy", "residual",
+                      "norms", "start")
+        if not isinstance(payload["model"], dict):
             raise InvalidArguments("malformed certificate: model is not a JSON object")
+        _require_keys(payload["decoy"], "decoy", "inputs", "responses")
         try:
+            for d in payload["norms"]:
+                _require_keys(d, "norm", "b_rows", "w1", "alpha", "variant")
             decoy = Dataset(
-                inputs=np.asarray(payload["decoy"]["inputs"], dtype=float),
-                responses=np.asarray(payload["decoy"]["responses"], dtype=float),
+                inputs=_numbers(payload["decoy"]["inputs"], "decoy inputs"),
+                responses=_numbers(payload["decoy"]["responses"], "decoy responses"),
             )
             norms = tuple(
                 CraftedNorm(
-                    b_rows=np.asarray(d["b_rows"], dtype=float),
-                    w1=np.asarray(d["w1"], dtype=float),
-                    alpha=float(d["alpha"]),
+                    b_rows=_numbers(d["b_rows"], "b_rows"),
+                    w1=_numbers(d["w1"], "w1"),
+                    alpha=float(_numbers(d["alpha"], "alpha")),
                     inner_variant=str(d["variant"]),
                 )
                 for d in payload["norms"]
@@ -421,13 +424,12 @@ class DenialCertificate:
             cert = cls(
                 decoy=decoy,
                 norms=norms,
-                residual=np.asarray(payload["residual"], dtype=float),
-                start=np.asarray(payload["start"], dtype=float),
+                residual=_numbers(payload["residual"], "residual"),
+                start=_numbers(payload["start"], "start"),
                 model_descriptor=dict(payload["model"]),
                 seed=payload["seed"],
             )
-        except (KeyError, TypeError, ValueError, OverflowError,
-                DimensionMismatch, LengthMismatch) as exc:
+        except (TypeError, ValueError, OverflowError, DimensionMismatch, LengthMismatch) as exc:
             raise InvalidArguments(f"malformed certificate: {exc!r}") from None
         for j, nm in enumerate(cert.norms):
             nm.validate(cert.residual[:, j])
@@ -474,6 +476,28 @@ class DenialCertificate:
         return cls.from_dict(payload)
 
 
+def _require_keys(obj, where: str, *keys) -> None:
+    """Raise InvalidArguments, naming the keys, unless ``obj`` is a dict with exactly ``keys``."""
+    if not isinstance(obj, dict):
+        raise InvalidArguments(f"malformed certificate: {where} is not a JSON object")
+    missing, unknown = [k for k in keys if k not in obj], [k for k in obj if k not in keys]
+    if missing or unknown:
+        raise InvalidArguments(f"malformed certificate: {where} lacks keys {missing}, "
+                               f"has unknown keys {unknown}")
+
+
+def _numbers(value, what: str) -> np.ndarray:
+    """A JSON number, or nested arrays of them, as a float array.
+
+    Strings, booleans and nulls raise InvalidArguments; ``np.asarray(value,
+    dtype=float)`` would convert them.
+    """
+    entries = np.array(value, dtype=object)
+    if not set(map(type, entries.reshape(-1))) <= {int, float}:
+        raise InvalidArguments(f"malformed certificate: {what} holds a value that is not a number")
+    return entries.astype(float)
+
+
 def _require_finite_params(p_star: np.ndarray) -> None:
     if not np.isfinite(p_star).all():
         raise InvalidArguments("p* holds a NaN or infinite value")
@@ -499,8 +523,11 @@ def craft_denial(
     RankConditionViolated(j) when column j's residual is reachable by the
     model's tangent directions; resampling the decoy clears both in
     practice (see ``craft_denial_resampling``).  A p* with a NaN or
-    infinite entry raises InvalidArguments.
+    infinite entry, or a ``seed`` that is not an int in [0, 2**64), raises
+    InvalidArguments before any work is done.
     """
+    if not _is_seed(seed):
+        raise InvalidArguments(f"seed must be an integer in [0, 2**64), got {seed!r}")
     p_star = np.asarray(p_star, dtype=float).reshape(-1)
     E = residuals(model, decoy, p_star)  # raises DimensionMismatch on a wrong p*
     _require_finite_params(p_star)
@@ -528,7 +555,7 @@ def craft_denial(
         residual=E,
         start=start,
         model_descriptor=model.descriptor(),
-        seed=int(seed),
+        seed=seed,
     )
 
 
@@ -598,14 +625,8 @@ class VerificationReport:
         object.__setattr__(self, "refit_params", params)
 
     def to_dict(self) -> dict:
-        return {
-            "refit_params": self.refit_params.tolist(),
-            "max_abs_diff": self.max_abs_diff,
-            "passed": self.passed,
-            "final_loss": self.final_loss,
-            "iterations": self.iterations,
-            "converged": self.converged,
-        }
+        # The fields in their declared order, the array as a list.
+        return dict(vars(self), refit_params=self.refit_params.tolist())
 
 
 def verify_denial(
@@ -719,15 +740,9 @@ class TrialResult:
     craft_attempts: int
 
     def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "p_star": self.p_star.tolist(),
-            "refit_params": self.refit_params.tolist(),
-            "max_abs_diff": self.max_abs_diff,
-            "passed": self.passed,
-            "converged": self.converged,
-            "craft_attempts": self.craft_attempts,
-        }
+        # The fields in their declared order, the arrays as lists.
+        return dict(vars(self), p_star=self.p_star.tolist(),
+                    refit_params=self.refit_params.tolist())
 
 
 def run_denial_trial(

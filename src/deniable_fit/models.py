@@ -146,7 +146,7 @@ class ParamModel:
 
     ``affine=True`` declares f(X, p) = f(X, 0) + J(X) p, with J the
     analytic Jacobian, which such a model must carry (InvalidArguments
-    otherwise).  ``fit`` then solves least-squares losses in one step
+    otherwise).  ``fit`` then solves the two-norm loss in one step
     instead of searching.  The declaration is trusted, not checked.
     """
 

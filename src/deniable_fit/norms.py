@@ -173,27 +173,12 @@ def make_crafted_norm(
     return norm
 
 
-def crafted_kernel(norm: CraftedNorm) -> Callable[[np.ndarray], float]:
-    """The map x -> (3/2) b(x) + (alpha/2) |x . w1|, for repeated evaluation.
-
-    The returned function checks nothing: it takes a 1-D float array of
-    ``norm.dim`` entries.  Every evaluation of a crafted norm goes through it.
-    """
-    variant, rows, w1 = norm.inner_variant, norm.b_rows, norm.w1
-    half_alpha = 0.5 * norm.alpha
-
-    def value(x: np.ndarray) -> float:
-        return 1.5 * _inner_norm(variant, rows @ x) + half_alpha * abs(float(x @ w1))
-
-    return value
-
-
 def crafted_norm_value(norm: CraftedNorm, x) -> float:
     """Evaluate (3/2) b(x) + (alpha/2) |x . w1|."""
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != norm.dim:
         raise DimensionMismatch(f"expected {norm.dim} entries, got {x.size}")
-    return crafted_kernel(norm)(x)
+    return crafted_matrix_kernel((norm,), x.size, 1)(x[:, None])
 
 
 def mae_transform(norm: CraftedNorm) -> np.ndarray:
@@ -212,34 +197,27 @@ def mae_transform(norm: CraftedNorm) -> np.ndarray:
 def crafted_matrix_kernel(
     norms: Sequence[CraftedNorm], n: int, k: int
 ) -> Callable[[np.ndarray], float]:
-    """The map E -> sum of per-column crafted-norm values of an (n, k) matrix.
+    """The map E -> sum over columns j of (3/2) b_j(E[:, j]) + (alpha_j/2) |E[:, j] . w1_j|.
 
-    The norms are checked against the shape here, once; the returned
-    function takes a 2-D float array of that shape and checks nothing.
+    The one evaluation of crafted norms: the crafted loss of a fit and
+    ``crafted_norm_value`` (one column) both run it.  The norms are checked
+    against the (n, k) shape here, once; the returned function takes a 2-D
+    float array of that shape and checks nothing.
     """
     if len(norms) != k:
         raise LengthMismatch(f"{len(norms)} norms supplied for {k} residual columns")
     for nm in norms:
         if nm.dim != n:
             raise DimensionMismatch(f"crafted norm is anchored on {nm.dim} samples, got {n}")
-    columns = [(j, crafted_kernel(nm)) for j, nm in enumerate(norms)]
+    columns = [(j, nm.inner_variant, nm.b_rows, nm.w1, 0.5 * nm.alpha)
+               for j, nm in enumerate(norms)]
 
     def value(E: np.ndarray) -> float:
         # A plain loop: a generator sum costs more than the one-column work at k=1.
         total = 0.0
-        for j, kernel in columns:
-            total += kernel(E[:, j])
+        for j, variant, rows, w1, half_alpha in columns:
+            x = E[:, j]
+            total += 1.5 * _inner_norm(variant, rows @ x) + half_alpha * abs(float(x @ w1))
         return total
 
     return value
-
-
-def crafted_matrix_norm(norms: Sequence[CraftedNorm], E) -> float:
-    """Sum of per-column crafted-norm values of a residual matrix."""
-    E = np.asarray(E, dtype=float)
-    if E.ndim == 1:
-        E = E[:, None]
-    if E.ndim != 2:
-        raise DimensionMismatch("residuals must form an n x k matrix")
-    return crafted_matrix_kernel(norms, *E.shape)(E)
-

@@ -4,8 +4,8 @@ The crafted losses have kinks (absolute values, norms of projections), so
 the optimizer must not rely on gradients.  A plain Nelder-Mead simplex with
 the standard coefficients (reflect 1, expand 2, contract 0.5, shrink 0.5)
 handles them and is bit-for-bit deterministic for a fixed configuration.
-Least-squares losses on a model declared affine need no search: ``fit``
-solves them in one step.
+The honest two-norm loss on a model declared affine needs no search:
+``fit`` solves it in one step.
 """
 
 from __future__ import annotations
@@ -29,14 +29,7 @@ from .models import residuals  # noqa: F401
 from .norms import CraftedNorm, crafted_matrix_kernel
 
 LOSS_TWO_NORM = "two_norm"
-LOSS_ONE_NORM = "one_norm"
-LOSS_MSE = "mse"
-LOSS_RMSE = "rmse"
-LOSS_MAE = "mae"
 LOSS_CRAFTED_MATRIX = "crafted_matrix"
-# Losses minimized exactly where the sum of squared residuals is; ``fit``
-# solves these in one step for an affine model.
-_LEAST_SQUARES_KINDS = frozenset({LOSS_TWO_NORM, LOSS_MSE, LOSS_RMSE})
 
 MAX_ITERS = 40000          # iteration budget shared by all restarts
 SIMPLEX_SCALE = 0.05       # relative offset of the initial simplex vertices
@@ -45,10 +38,11 @@ CONVERGENCE_TOL = 1e-13    # value spread at which a descent stops
 
 @dataclass(frozen=True, eq=False)
 class LossSpec:
-    """What to minimize over the residual matrix.
+    """What to minimize over the residual matrix: one of the two learning rules.
 
-    Standard kinds reduce the flattened residuals; "crafted_matrix" sums
-    one crafted norm per residual column, a single-output model included.
+    "two_norm", the honest fit, takes the 2-norm of the flattened
+    residuals; "crafted_matrix", the decoy's refit, sums one crafted norm
+    per residual column, a single-output model included.
     """
 
     kind: str
@@ -59,22 +53,6 @@ class LossSpec:
         return cls(LOSS_TWO_NORM)
 
     @classmethod
-    def one_norm(cls) -> "LossSpec":
-        return cls(LOSS_ONE_NORM)
-
-    @classmethod
-    def mse(cls) -> "LossSpec":
-        return cls(LOSS_MSE)
-
-    @classmethod
-    def rmse(cls) -> "LossSpec":
-        return cls(LOSS_RMSE)
-
-    @classmethod
-    def mae(cls) -> "LossSpec":
-        return cls(LOSS_MAE)
-
-    @classmethod
     def crafted_matrix(cls, norms: Sequence[CraftedNorm]) -> "LossSpec":
         return cls(LOSS_CRAFTED_MATRIX, norms=tuple(norms))
 
@@ -83,9 +61,8 @@ class LossSpec:
 
         Raises InvalidArguments for an unknown kind or a crafted kind
         without norms, DimensionMismatch or LengthMismatch when the norms
-        do not fit an n x k matrix of that shape, and EmptyInput when a
-        standard kind gets no residuals.  The returned function checks
-        nothing.
+        do not fit an n x k matrix of that shape, and EmptyInput when the
+        two-norm gets no residuals.  The returned function checks nothing.
         """
         if self.kind == LOSS_CRAFTED_MATRIX:
             if not self.norms:
@@ -93,13 +70,11 @@ class LossSpec:
             if len(shape) != 2:
                 raise DimensionMismatch("residuals must form an n x k matrix")
             return crafted_matrix_kernel(self.norms, *shape)
-        try:
-            reduce = _STANDARD_REDUCERS[self.kind]
-        except KeyError:
-            raise InvalidArguments(f"unknown loss kind {self.kind!r}") from None
+        if self.kind != LOSS_TWO_NORM:
+            raise InvalidArguments(f"unknown loss kind {self.kind!r}")
         if 0 in shape:
             raise EmptyInput("a loss needs at least one residual")
-        return reduce
+        return _two_norm
 
     def evaluate(self, E) -> float:
         E = np.asarray(E, dtype=float)
@@ -112,33 +87,6 @@ def _two_norm(E: np.ndarray) -> float:
     flat = E.reshape(-1)
     # What np.linalg.norm computes for a 1-D float vector, minus its overhead.
     return math.sqrt(float(flat @ flat))
-
-
-def _one_norm(E: np.ndarray) -> float:
-    return float(np.abs(E.reshape(-1)).sum())
-
-
-def _mse(E: np.ndarray) -> float:
-    flat = E.reshape(-1)
-    return float(flat @ flat) / flat.size
-
-
-def _rmse(E: np.ndarray) -> float:
-    flat = E.reshape(-1)
-    return float(np.sqrt(float(flat @ flat) / flat.size))
-
-
-def _mae(E: np.ndarray) -> float:
-    return float(np.abs(E.reshape(-1)).mean())
-
-
-_STANDARD_REDUCERS = {
-    LOSS_TWO_NORM: _two_norm,
-    LOSS_ONE_NORM: _one_norm,
-    LOSS_MSE: _mse,
-    LOSS_RMSE: _rmse,
-    LOSS_MAE: _mae,
-}
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,8 +110,8 @@ class FittedModel:
     """Outcome of a minimization run.
 
     ``evaluations`` counts the objective calls of all descents, the one at
-    the start point included; the exact step of an affine least-squares
-    fit makes 2 (at the start and at the solution) and 0 iterations.
+    the start point included; the exact step of an affine two-norm fit
+    makes 2 (at the start and at the solution) and 0 iterations.
     """
 
     params: np.ndarray
@@ -317,8 +265,7 @@ def fit(model: ParamModel, data: Dataset, loss: LossSpec, config: OptimizerConfi
     The model, the data and the loss are checked once, before the descent;
     each objective evaluation then runs only the model and the reducer.
 
-    A model declared ``affine`` under a least-squares loss (``two_norm``,
-    ``mse`` or ``rmse``, which share their minimizers) is solved, not
+    A model declared ``affine`` under the ``two_norm`` loss is solved, not
     searched: with r0 the residual at ``config.start`` and J the analytic
     Jacobian there, reshaped to (n k, d), the result is
     ``start + lstsq(J, r0)``, the least-squares solution nearest the start
@@ -334,33 +281,18 @@ def fit(model: ParamModel, data: Dataset, loss: LossSpec, config: OptimizerConfi
         )
     reduce = loss.bind((data.n, data.output_dim))
     residuals_at = bind_residuals(model, data)
-    if model.affine and loss.kind in _LEAST_SQUARES_KINDS:
-        return _solve_affine(model, data.inputs, reduce, residuals_at, config.start)
+    if model.affine and loss.kind == LOSS_TWO_NORM:
+        start = config.start
+        r0 = residuals_at(start)
+        f0 = reduce(r0)
+        if not math.isfinite(f0):
+            raise NonFiniteObjective(f"objective is {f0} at the start point")
+        J = jacobian_blocks(model, data.inputs, start).reshape(-1, start.size)
+        params = start + np.linalg.lstsq(J, r0.reshape(-1), rcond=None)[0]
+        return FittedModel(params, reduce(residuals_at(params)), iterations=0,
+                           converged=True, evaluations=2)
 
     def objective(p: np.ndarray) -> float:
         return reduce(residuals_at(p))
 
     return minimize(objective, config)
-
-
-def _solve_affine(
-    model: ParamModel,
-    X: np.ndarray,
-    reduce: Callable[[np.ndarray], float],
-    residuals_at: Callable[[np.ndarray], np.ndarray],
-    start: np.ndarray,
-) -> FittedModel:
-    """The exact least-squares fit of an affine model, one solve from ``start``."""
-    r0 = residuals_at(start)
-    f0 = reduce(r0)
-    if not math.isfinite(f0):
-        raise NonFiniteObjective(f"objective is {f0} at the start point")
-    J = jacobian_blocks(model, X, start).reshape(-1, start.size)
-    params = start + np.linalg.lstsq(J, r0.reshape(-1), rcond=None)[0]
-    return FittedModel(
-        params=params,
-        final_loss=reduce(residuals_at(params)),
-        iterations=0,
-        converged=True,
-        evaluations=2,
-    )

@@ -18,7 +18,6 @@ from deniable_fit import (
     VARIANT_ONE_NORM,
     adversary_recover,
     craft_denial,
-    crafted_matrix_norm,
     crafted_norm_value,
     deniability_check,
     fit,
@@ -146,7 +145,7 @@ def test_criterion_5_multivariate_consistency(capsys):
             + 0.5 * nm.alpha * abs(float(E[:, j] @ nm.w1))
             for j, nm in enumerate(norms)
         )
-        worst = max(worst, abs(crafted_matrix_norm(norms, E) - by_hand))
+        worst = max(worst, abs(LossSpec.crafted_matrix(norms).evaluate(E) - by_hand))
     sum_ok = worst <= 1e-12
 
     model = two_output_linear_model(3)

@@ -26,7 +26,6 @@ from deniable_fit import (
     adversary_recover,
     craft_denial,
     craft_denial_resampling,
-    crafted_matrix_norm,
     deniability_check,
     entropy_per_record,
     fit,
@@ -218,6 +217,16 @@ def small_problem(rng, n=10, m=5):
 
 
 class TestCraftDenial:
+    @pytest.mark.parametrize("seed", [None, 1.5, True, -1, 2 ** 64],
+                             ids=["None", "1.5", "True", "-1", "2**64"])
+    def test_seed_checked_before_any_work(self, rng, seed):
+        model, p_star, decoy = small_problem(rng)
+        inner, calls = model.evaluator, []
+        model.evaluator = lambda X, p: calls.append(1) or inner(X, p)
+        with pytest.raises(InvalidArguments, match="seed must be an integer"):
+            craft_denial(model, p_star, decoy, seed=seed)
+        assert calls == []
+
     def test_certificate_contents(self, rng):
         model, p_star, decoy = small_problem(rng)
         cert = craft_denial(model, p_star, decoy, seed=7)
@@ -244,7 +253,7 @@ class TestCraftDenial:
             0.5 * nm.alpha * abs(float(cert.residual[:, j] @ nm.w1))
             for j, nm in enumerate(cert.norms)
         )
-        assert crafted_matrix_norm(cert.norms, cert.residual) == pytest.approx(
+        assert LossSpec.crafted_matrix(cert.norms).evaluate(cert.residual) == pytest.approx(
             expected, rel=1e-12
         )
 
@@ -509,6 +518,43 @@ class TestCertificateLoading:
         cert_path.write_text(json.dumps(payload))
         write_model_file(model_path, 5, p_star)
         assert main(["verify", str(cert_path), str(model_path)]) == 1
+
+    # Where each kind of numeric field sits in a payload: (container, key) pairs.
+    NUMERIC_FIELDS = {
+        "alpha": (("norms", 0), "alpha"),
+        "decoy_inputs": (("decoy", "inputs", 0), 1),
+        "decoy_responses": (("decoy", "responses", 3), 0),
+        "residual": (("residual", 2), 0),
+        "b_rows": (("norms", 0, "b_rows", 1), 2),
+        "w1": (("norms", 0, "w1"), 4),
+        "start": (("start",), 0),
+    }
+
+    @pytest.mark.parametrize("field", NUMERIC_FIELDS)
+    @pytest.mark.parametrize("kind", ["string", "boolean", "null"])
+    def test_non_number_rejected(self, rng, tmp_path, capsys, field, kind):
+        model, p_star, decoy = small_problem(rng)
+        payload = craft_denial(model, p_star, decoy, seed=1).to_dict()
+        path, key = self.NUMERIC_FIELDS[field]
+        container = payload
+        for step in path:
+            container = container[step]
+        # A string that spells the same number, or a 1.0 (or 0.0) in disguise.
+        container[key] = {"string": repr(container[key]), "boolean": True, "null": None}[kind]
+        self._refused_by_verify(payload, p_star, tmp_path, "not a number")
+
+    @pytest.mark.parametrize("level", ["top", "decoy", "norm"])
+    def test_keys_outside_the_schema_rejected(self, rng, tmp_path, capsys, level):
+        model, p_star, decoy = small_problem(rng)
+        payload = craft_denial(model, p_star, decoy, seed=1).to_dict()
+        where = {"top": payload, "decoy": payload["decoy"], "norm": payload["norms"][0]}[level]
+        last = list(where)[-1]
+        where["comment"] = "added by hand"
+        self._refused_by_verify(payload, p_star, tmp_path,
+                                re.escape("lacks keys [], has unknown keys ['comment']"))
+        del where["comment"], where[last]
+        self._refused_by_verify(payload, p_star, tmp_path,
+                                re.escape(f"lacks keys [{last!r}], has unknown keys []"))
 
     def test_model_given_as_pairs_rejected(self, rng, tmp_path, capsys):
         # dict() would coerce a list of [key, value] pairs into the descriptor.

@@ -5,6 +5,7 @@ public re-exports, so each must be listed in ``__all__``, and each name in
 ``__all__`` must be bound.  An import whose line carries ``# noqa: F401`` is kept on
 purpose and says why there.  Every top-level module that the package imports
 from outside the standard library is a dependency in ``pyproject.toml``.
+No module-level private name is left that no module of the package uses.
 """
 
 import ast
@@ -75,6 +76,62 @@ def test_scan_flags_an_unused_name():
     assert unused_imports(source) == [(1, "Sequence")]
     kept = "import os  # noqa: F401\n"
     assert unused_imports(kept) == []
+
+
+def dead_private_names(sources: dict) -> list:
+    """Module-level private names (``_x``, not dunder) that no module of ``sources`` uses.
+
+    ``sources`` maps module names to their text.  A name counts as used when
+    any module loads it (``_x``), reads it as an attribute (``mod._x``) or
+    imports it (``from .mod import _x``); its own definition does not count.
+    """
+    defined, used = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(module, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used |= {alias.name for alias in node.names}
+    return sorted((module, name) for module, name in defined if name not in used)
+
+
+def test_no_dead_private_names():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert dead_private_names(sources) == []
+
+
+def test_dead_name_scan_flags_an_unused_name():
+    sources = {
+        "training": (
+            "_STANDARD_REDUCERS = {}\n"
+            "_LEAST_SQUARES_KINDS: frozenset = frozenset()\n"
+            "def _two_norm(E):\n"
+            "    return _two_norm_of(E)\n"
+            "def _two_norm_of(E):\n"
+            "    return E\n"
+            "class _Unused:\n"
+            "    pass\n"
+            "def __getattr__(name):\n"
+            "    return _two_norm\n"
+        ),
+        "norms": "from .training import _LEAST_SQUARES_KINDS\n",
+        "cli": "from . import training\nprint(training._two_norm_of)\n",
+    }
+    assert dead_private_names(sources) == [("training", "_STANDARD_REDUCERS"),
+                                           ("training", "_Unused")]
 
 
 def export_problems(source: str, bound) -> list:

@@ -13,7 +13,6 @@ from deniable_fit import (
     RejectionExhausted,
     VARIANT_EUCLIDEAN,
     VARIANT_ONE_NORM,
-    crafted_matrix_norm,
     crafted_norm_value,
     make_crafted_norm,
     mae_transform,
@@ -173,7 +172,7 @@ class TestMaeReduction:
         e = rng.normal(size=7)
         norm = make_crafted_norm(e, seed=3, inner_variant=VARIANT_ONE_NORM)
         C = mae_transform(norm)
-        mae = LossSpec.mae().evaluate(C @ e - np.zeros(7))
+        mae = np.abs(C @ e).mean()
         assert mae == pytest.approx(crafted_norm_value(norm, e) / 7, rel=1e-12)
 
 
@@ -184,47 +183,37 @@ class TestMatrixNorm:
         for j in range(3):
             anchor = rng.normal(size=5)
             norms.append(make_crafted_norm(anchor, seed=j))
-        total = crafted_matrix_norm(norms, E)
+        total = LossSpec.crafted_matrix(norms).evaluate(E)
         by_hand = sum(crafted_norm_value(norms[j], E[:, j]) for j in range(3))
         assert total == pytest.approx(by_hand, rel=1e-14)
 
     def test_length_mismatch(self, rng):
         norms = [make_crafted_norm(rng.normal(size=5), seed=0)]
         with pytest.raises(LengthMismatch):
-            crafted_matrix_norm(norms, rng.normal(size=(5, 2)))
+            LossSpec.crafted_matrix(norms).evaluate(rng.normal(size=(5, 2)))
 
     def test_column_dimension_mismatch(self, rng):
         norms = [make_crafted_norm(rng.normal(size=4), seed=0)]
         with pytest.raises(DimensionMismatch):
-            crafted_matrix_norm(norms, rng.normal(size=(5, 1)))
+            LossSpec.crafted_matrix(norms).evaluate(rng.normal(size=(5, 1)))
 
 
 class TestStandardMetrics:
-    def test_textbook_values(self):
-        r = np.array([1.0, 2.0]) - np.zeros(2)
-        assert LossSpec.mse().evaluate(r) == pytest.approx(2.5)
-        assert LossSpec.rmse().evaluate(r) == pytest.approx(np.sqrt(2.5))
-        assert LossSpec.mae().evaluate(r) == pytest.approx(1.5)
-        assert LossSpec.mae().evaluate(np.array([3.0, 4.0]) - np.zeros(2)) == pytest.approx(3.5)
+    """The two-norm, the one standard loss: what the honest fit minimizes."""
 
-    def test_rmse_is_sqrt_mse(self, rng):
-        y, y_hat = rng.normal(size=40), rng.normal(size=40)
-        assert LossSpec.rmse().evaluate(y - y_hat) == pytest.approx(
-            np.sqrt(LossSpec.mse().evaluate(y - y_hat)), rel=1e-14
-        )
+    def test_textbook_values(self):
+        assert LossSpec.two_norm().evaluate(np.array([3.0, 4.0]) - np.zeros(2)) == 5.0
+        assert LossSpec.two_norm().evaluate(np.array([1.0, 2.0])) == pytest.approx(np.sqrt(5.0))
 
     def test_matches_numpy(self, rng):
         y, y_hat = rng.normal(size=25), rng.normal(size=25)
-        assert LossSpec.mse().evaluate(y - y_hat) == pytest.approx(
-            np.mean((y - y_hat) ** 2), rel=1e-14
-        )
-        assert LossSpec.mae().evaluate(y - y_hat) == pytest.approx(
-            np.mean(np.abs(y - y_hat)), rel=1e-14
+        assert LossSpec.two_norm().evaluate(y - y_hat) == pytest.approx(
+            np.sqrt(np.sum((y - y_hat) ** 2)), rel=1e-14
         )
 
     def test_errors(self):
         with pytest.raises(EmptyInput):
-            LossSpec.mse().evaluate([])
+            LossSpec.two_norm().evaluate([])
         with pytest.raises(InvalidArguments):
             LossSpec("huber").evaluate([1.0])
 
