@@ -26,7 +26,6 @@ import numpy as np
 from .deniability import (
     DEFAULT_RESOLUTION,
     DEFAULT_TOLERANCE,
-    SEED_LIMIT,
     AttributeDist,
     DenialCertificate,
     DistributionSpec,
@@ -52,17 +51,14 @@ EXIT_VERIFY_FAILED = 3
 
 
 def _resolve_seed(value: Optional[int]) -> int:
+    """``--seed``, else $DENIABLE_FIT_SEED, else 0; the library refuses a seed out of range."""
     if value is not None:
-        seed = value
-    else:
-        raw = os.environ.get(SEED_ENV_VAR)
-        try:
-            seed = int(raw) if raw is not None else 0
-        except ValueError:
-            raise InvalidArguments(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
-    if not 0 <= seed < SEED_LIMIT:
-        raise InvalidArguments("seed must fit in 64 unsigned bits")
-    return seed
+        return value
+    raw = os.environ.get(SEED_ENV_VAR)
+    try:
+        return int(raw) if raw is not None else 0
+    except ValueError:
+        raise InvalidArguments(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
 def load_model_file(path) -> tuple[ParamModel, np.ndarray]:

@@ -3,9 +3,10 @@
 The central claim being operationalized: given a fitted model with
 parameters p*, one can pick unrelated decoy training data and construct an
 error norm under which that decoy retrains to exactly p*.  A certificate
-packages the decoy, the norms, and the replay's start point so anyone can
-replay the retraining.  The information-theoretic side quantifies when the
-true training data cannot be pinned down from the model alone.
+packages the decoy, the norms and the seed, from which the verifier derives
+the replay's start point, so anyone can replay the retraining.  The
+information-theoretic side quantifies when the true training data cannot be
+pinned down from the model alone.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .models import Dataset, ParamModel, jacobian, linear_regression_model, resi
 from .norms import VARIANT_EUCLIDEAN, CraftedNorm, make_crafted_norm
 from .training import FittedModel, LossSpec, OptimizerConfig, fit
 
-CERT_SCHEMA = "denial-cert/3"
+CERT_SCHEMA = "denial-cert/4"
 
 # Quantization resolution for continuous attributes: entropy is reported
 # for values discretized to this grid.
@@ -61,10 +62,14 @@ def _is_seed(value) -> bool:
 
 
 def derive_seed(seed: int, *labels) -> int:
-    """Stable 63-bit sub-seed for a named stream under a master seed."""
-    if seed is None:
-        seed = 0
-    material = repr((int(seed),) + tuple(str(l) for l in labels)).encode()
+    """Stable 63-bit sub-seed for a named stream under a master seed.
+
+    A ``seed`` that is not an int (a bool included) in [0, 2**64) raises
+    InvalidArguments, so every seeded entry point refuses it.
+    """
+    if not _is_seed(seed):
+        raise InvalidArguments(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    material = repr((seed,) + tuple(str(l) for l in labels)).encode()
     digest = hashlib.sha256(material).digest()
     return int.from_bytes(digest[:8], "big") >> 1
 
@@ -316,43 +321,40 @@ class DenialCertificate:
     """Everything needed to replay "this decoy retrains to p*".
 
     Holds the decoy dataset, one crafted norm per output column, the
-    residual matrix at p*, and the seeded start point of the replay, which
-    runs with the package's fixed optimizer settings.  The certificate keeps
-    read-only copies of the decoy's arrays, so later edits of the caller's
-    arrays do not reach it.  Every number must
-    be finite and ``seed`` must be None or an integer in [0, 2**64), so that
-    the certificate file states each value exactly; anything else raises
-    InvalidArguments.  A norm whose dimension differs from the residual's
-    row count raises DimensionMismatch.
+    residual matrix at p*, and the seed from which ``verify_denial`` derives
+    the replay's start point; the replay runs with the package's fixed
+    optimizer settings.  The certificate keeps read-only copies of the
+    decoy's arrays, so later edits of the caller's arrays do not reach it.
+    Every number must be finite and ``seed`` must be an integer in
+    [0, 2**64), so that the certificate file states each value exactly;
+    anything else raises InvalidArguments.  A norm whose dimension differs
+    from the residual's row count raises DimensionMismatch.
     """
 
     decoy: Dataset
     norms: Tuple[CraftedNorm, ...]
     residual: np.ndarray
-    start: np.ndarray
     model_descriptor: dict
-    seed: Optional[int] = None
+    seed: int
 
     def __post_init__(self):
         residual = np.array(self.residual, dtype=float)
         if residual.ndim == 1:
             residual = residual[:, None]
-        start = np.array(self.start, dtype=float).reshape(-1)
         inputs, responses = self.decoy.inputs, self.decoy.responses
         decoy = Dataset(np.array(inputs, dtype=float), np.array(responses, dtype=float))
-        for array in (residual, start, decoy.inputs, decoy.responses):
+        for array in (residual, decoy.inputs, decoy.responses):
             array.setflags(write=False)
         object.__setattr__(self, "decoy", decoy)
         object.__setattr__(self, "residual", residual)
-        object.__setattr__(self, "start", start)
         object.__setattr__(self, "norms", tuple(self.norms))
         if len(self.norms) != residual.shape[1]:
             raise LengthMismatch(
                 f"{len(self.norms)} norms for {residual.shape[1]} residual columns"
             )
-        if self.seed is not None and not _is_seed(self.seed):
-            raise InvalidArguments(f"seed must be None or an integer in [0, 2**64), got {self.seed!r}")
-        arrays = [self.decoy.inputs, self.decoy.responses, residual, start]
+        if not _is_seed(self.seed):
+            raise InvalidArguments(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        arrays = [self.decoy.inputs, self.decoy.responses, residual]
         for j, nm in enumerate(self.norms):
             if nm.dim != residual.shape[0]:
                 raise DimensionMismatch(
@@ -378,7 +380,6 @@ class DenialCertificate:
                 {"b_rows": nm.b_rows, "w1": nm.w1, "alpha": nm.alpha, "variant": nm.inner_variant}
                 for nm in self.norms
             ],
-            "start": self.start,
         }
 
     def to_dict(self) -> dict:
@@ -388,10 +389,10 @@ class DenialCertificate:
     def from_dict(cls, payload: dict) -> "DenialCertificate":
         """Load a certificate, raising InvalidArguments when it is malformed.
 
-        The payload, its ``decoy`` and each norm must be JSON objects with
-        exactly the keys ``to_dict()`` writes (``seed`` may be ``null``),
-        and ``model`` must be a JSON object.  Every entry of the arrays and
-        each ``alpha`` must be a JSON number: a string, a boolean or a
+        The payload, its ``model``, its ``decoy`` and each norm must be JSON
+        objects with exactly the keys ``to_dict()`` writes, and ``seed`` must
+        be an integer in [0, 2**64), not ``null``.  Every entry of the arrays
+        and each ``alpha`` must be a JSON number: a string, a boolean or a
         ``null`` is refused.  Each norm's construction invariants are
         checked against its column of the stored residual.
         """
@@ -400,10 +401,8 @@ class DenialCertificate:
         schema = payload.get("schema")
         if schema != CERT_SCHEMA:
             raise InvalidArguments(f"unsupported certificate schema {schema!r}")
-        _require_keys(payload, "certificate", "schema", "seed", "model", "decoy", "residual",
-                      "norms", "start")
-        if not isinstance(payload["model"], dict):
-            raise InvalidArguments("malformed certificate: model is not a JSON object")
+        _require_keys(payload, "certificate", "schema", "seed", "model", "decoy", "residual", "norms")
+        _require_keys(payload["model"], "model", "family", "input_dim", "param_dim", "output_dim")
         _require_keys(payload["decoy"], "decoy", "inputs", "responses")
         try:
             for d in payload["norms"]:
@@ -425,7 +424,6 @@ class DenialCertificate:
                 decoy=decoy,
                 norms=norms,
                 residual=_numbers(payload["residual"], "residual"),
-                start=_numbers(payload["start"], "start"),
                 model_descriptor=dict(payload["model"]),
                 seed=payload["seed"],
             )
@@ -515,9 +513,9 @@ def craft_denial(
     Per output column: take the residual at p*, check that its 2-norm
     exceeds ``ZERO_TOL`` and that it lies outside the Jacobian's column
     space (otherwise local optimality cannot be anchored there), and
-    construct a crafted norm on it.  The replay configuration starts the
-    refit at p* plus a seeded Gaussian perturbation of scale 1e-2 per
-    coordinate.
+    construct a crafted norm on it, its w1 drawn from ``seed``.  The
+    certificate stores ``seed``, from which ``verify_denial`` derives the
+    replay's start point.
 
     Raises ZeroResidual(j) when column j fits perfectly, and
     RankConditionViolated(j) when column j's residual is reachable by the
@@ -546,14 +544,10 @@ def craft_denial(
                 inner_variant=inner_variant,
             )
         )
-    start = p_star + VERIFY_START_SCALE * substream(seed, "optimizer-start").standard_normal(
-        p_star.size
-    )
     return DenialCertificate(
         decoy=decoy,
         norms=tuple(norms),
         residual=E,
-        start=start,
         model_descriptor=model.descriptor(),
         seed=seed,
     )
@@ -641,16 +635,17 @@ def verify_denial(
     model parameters; any mismatch with the stored residual beyond 1e-9
     raises CertificateTampered, as does a stored B that is not orthonormal
     or does not annihilate its column of the stored residual.  Then refits
-    under the certified norms from the certified start point, with the
-    package's optimizer settings, and reports the max per-coordinate
-    deviation from p*.  A model whose descriptor differs from the
-    certificate's (checked first), a ``tolerance`` that is not positive and
-    finite, or a p* with a NaN or infinite entry raises InvalidArguments.
+    under the certified norms, with the package's optimizer settings, from
+    p* plus a Gaussian perturbation of scale 1e-2 per coordinate drawn from
+    the certificate's seed, and reports the max per-coordinate deviation
+    from p*.  A model whose descriptor differs from the certificate's
+    (checked first, key for key and with no extra key), a ``tolerance``
+    that is not positive and finite, or a p* with a NaN or infinite entry
+    raises InvalidArguments.
     """
-    descriptor = model.descriptor()
-    if any(certificate.model_descriptor.get(key) != descriptor[key] for key in descriptor):
+    if certificate.model_descriptor != model.descriptor():
         raise InvalidArguments(f"certificate was issued for {certificate.model_descriptor}, "
-                               f"model file is {descriptor}")
+                               f"model file is {model.descriptor()}")
     if not _is_finite(tolerance) or tolerance <= 0.0:
         raise InvalidArguments("tolerance must be positive and finite")
     p_star = np.asarray(p_star, dtype=float).reshape(-1)
@@ -666,7 +661,8 @@ def verify_denial(
         if not annihilates or np.max(np.abs(B @ B.T - np.eye(len(B)))) > INTEGRITY_TOL:
             raise CertificateTampered(f"norm {j}: stored B is not an orthonormal annihilator of e")
 
-    config = OptimizerConfig(start=certificate.start)
+    noise = substream(certificate.seed, "optimizer-start").standard_normal(p_star.size)
+    config = OptimizerConfig(start=p_star + VERIFY_START_SCALE * noise)
     result: FittedModel = fit(model, certificate.decoy, certificate.loss_spec(), config)
     diff = float(np.max(np.abs(result.params - p_star)))
     return VerificationReport(

@@ -99,7 +99,7 @@ class TestCraftAndVerify:
                      "--seed", "5"]) == 0
         assert cert_path.exists()
         payload = json.loads(cert_path.read_text())
-        assert payload["schema"] == "denial-cert/3"
+        assert payload["schema"] == "denial-cert/4"
         assert payload["seed"] == 5
 
         assert main(["verify", str(cert_path), str(model_path)]) == 0
@@ -129,6 +129,17 @@ class TestCraftAndVerify:
         monkeypatch.setenv("DENIABLE_FIT_SEED", "31")
         main(["craft", str(model_path), str(decoy_path), str(via_env)])
         assert explicit.read_bytes() == via_env.read_bytes()
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_outside_64_bits_exits_1(self, workspace, capsys, monkeypatch, seed):
+        # The library refuses the seed; --seed and the environment reach it alike.
+        tmp, model_path, decoy_path, _ = workspace
+        cert_path = tmp / "cert.json"
+        assert main(["craft", str(model_path), str(decoy_path), str(cert_path), "--seed", seed]) == 1
+        monkeypatch.setenv("DENIABLE_FIT_SEED", seed)
+        assert main(["craft", str(model_path), str(decoy_path), str(cert_path)]) == 1
+        assert capsys.readouterr().err.count("InvalidArguments: seed must be an integer") == 2
+        assert not cert_path.exists()
 
     def test_tampered_certificate_exits_1(self, workspace, capsys):
         tmp, model_path, decoy_path, _ = workspace
@@ -385,6 +396,13 @@ class TestExperiment:
                          "--seed", "4", "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_outside_64_bits_exits_1(self, seed, tmp_path, capsys):
+        out = tmp_path / "results.json"
+        assert main(["experiment", "--trials", "1", "--seed", seed, "--out", str(out)]) == 1
+        assert "InvalidArguments: seed must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("trials", ["0", "-2"])
     def test_fewer_than_one_trial_exits_1(self, trials, tmp_path, capsys):
         out = tmp_path / "results.json"
@@ -407,3 +425,10 @@ class TestAdversary:
             refit = np.asarray(ds["refit_params"])
             assert np.max(np.abs(refit - p_star)) <= 1e-3
         assert payload["datasets"][0]["inputs"] != payload["datasets"][1]["inputs"]
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_outside_64_bits_exits_1(self, seed, capsys):
+        assert main(["adversary", "--seed", seed]) == 1
+        captured = capsys.readouterr()
+        assert "InvalidArguments: seed must be an integer" in captured.err
+        assert captured.out == ""

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -392,6 +393,23 @@ class TestVerifyDenial:
                 verify_denial(cert, other, p_star)
         assert verify_denial(cert, model, p_star).passed
 
+    def test_descriptor_with_an_extra_key_rejected(self, rng):
+        model, p_star, decoy = small_problem(rng)
+        cert = craft_denial(model, p_star, decoy, seed=1)
+        noted = dataclasses.replace(cert, model_descriptor=dict(cert.model_descriptor, note="anything"))
+        with pytest.raises(InvalidArguments, match="certificate was issued for"):
+            verify_denial(noted, model, p_star)
+
+    @pytest.mark.parametrize("variant", ["euclidean", "one_norm"])
+    def test_replay_starts_where_the_seed_says(self, rng, variant):
+        model, p_star, decoy = small_problem(rng)
+        cert = craft_denial(model, p_star, decoy, seed=12, inner_variant=variant)
+        noise = substream(cert.seed, "optimizer-start").standard_normal(p_star.size)
+        expected = fit(model, cert.decoy, cert.loss_spec(), OptimizerConfig(start=p_star + 1e-2 * noise))
+        report = verify_denial(cert, model, p_star)
+        assert np.array_equal(report.refit_params, expected.params)
+        assert (report.final_loss, report.iterations) == (expected.final_loss, expected.iterations)
+
     def test_multi_output_verification(self, rng):
         model = two_output_linear_model(3)
         p_star = rng.uniform(-3.0, 3.0, size=4)
@@ -403,11 +421,13 @@ class TestVerifyDenial:
 
 def legacy_payload(payload, schema):
     """``payload`` as an earlier schema wrote it, redundant and dead fields included."""
-    legacy = {key: value for key, value in payload.items() if key != "start"}
-    legacy["schema"] = schema
+    start = [0.0] * payload["model"]["param_dim"]
+    legacy = dict(payload, schema=schema)
+    if schema == "denial-cert/3":
+        return dict(legacy, start=start)
     legacy["norms"] = [dict(nm, source_error=[row[j] for row in payload["residual"]])
                        for j, nm in enumerate(payload["norms"])]
-    legacy["optimizer"] = {"start": payload["start"], "max_iters": 40000,
+    legacy["optimizer"] = {"start": start, "max_iters": 40000,
                            "simplex_scale": 0.05, "convergence_tol": 1e-13}
     if schema == "denial-cert/1":
         legacy.update(rank_condition_ok=[True],
@@ -417,21 +437,22 @@ def legacy_payload(payload, schema):
     return legacy
 
 
-LEGACY_SCHEMAS = ("denial-cert/1", "denial-cert/2")
+LEGACY_SCHEMAS = ("denial-cert/1", "denial-cert/2", "denial-cert/3")
 
 
 class TestCertificateLoading:
     def test_schema_keys_are_exact(self, rng):
         model, p_star, decoy = small_problem(rng)
         payload = craft_denial(model, p_star, decoy, seed=1).to_dict()
-        assert payload["schema"] == "denial-cert/3"
-        assert list(payload) == ["schema", "seed", "model", "decoy", "residual", "norms", "start"]
+        assert payload["schema"] == "denial-cert/4"
+        assert list(payload) == ["schema", "seed", "model", "decoy", "residual", "norms"]
+        assert list(payload["model"]) == ["family", "input_dim", "param_dim", "output_dim"]
         assert set(payload["decoy"]) == {"inputs", "responses"}
         for nm in payload["norms"]:
             assert list(nm) == ["b_rows", "w1", "alpha", "variant"]
 
-    # Both earlier schemas are covered in one test each: /1 and /2 files are
-    # refused alike, by the one schema check.
+    # The earlier schemas are covered in one test each: /1, /2 and /3 files
+    # are refused alike, by the one schema check.
     def test_first_schema_refused(self, rng):
         model, p_star, decoy = small_problem(rng)
         payload = craft_denial(model, p_star, decoy, seed=1).to_dict()
@@ -459,7 +480,6 @@ class TestCertificateLoading:
         assert np.array_equal(copy.w1, norm.w1)
         assert copy.alpha == norm.alpha
         assert copy.inner_variant == norm.inner_variant
-        assert np.array_equal(clone.start, cert.start)
 
     def test_tampered_w1_rejected(self, rng):
         model, p_star, decoy = small_problem(rng)
@@ -527,7 +547,6 @@ class TestCertificateLoading:
         "residual": (("residual", 2), 0),
         "b_rows": (("norms", 0, "b_rows", 1), 2),
         "w1": (("norms", 0, "w1"), 4),
-        "start": (("start",), 0),
     }
 
     @pytest.mark.parametrize("field", NUMERIC_FIELDS)
@@ -543,11 +562,12 @@ class TestCertificateLoading:
         container[key] = {"string": repr(container[key]), "boolean": True, "null": None}[kind]
         self._refused_by_verify(payload, p_star, tmp_path, "not a number")
 
-    @pytest.mark.parametrize("level", ["top", "decoy", "norm"])
+    @pytest.mark.parametrize("level", ["top", "model", "decoy", "norm"])
     def test_keys_outside_the_schema_rejected(self, rng, tmp_path, capsys, level):
         model, p_star, decoy = small_problem(rng)
         payload = craft_denial(model, p_star, decoy, seed=1).to_dict()
-        where = {"top": payload, "decoy": payload["decoy"], "norm": payload["norms"][0]}[level]
+        where = {"top": payload, "model": payload["model"], "decoy": payload["decoy"],
+                 "norm": payload["norms"][0]}[level]
         last = list(where)[-1]
         where["comment"] = "added by hand"
         self._refused_by_verify(payload, p_star, tmp_path,
@@ -555,6 +575,13 @@ class TestCertificateLoading:
         del where["comment"], where[last]
         self._refused_by_verify(payload, p_star, tmp_path,
                                 re.escape(f"lacks keys [{last!r}], has unknown keys []"))
+
+    def test_replay_start_key_rejected(self, rng, tmp_path, capsys):
+        # The start is derived from the seed at verify time; a file may not carry one.
+        model, p_star, decoy = small_problem(rng)
+        payload = dict(craft_denial(model, p_star, decoy, seed=1).to_dict(), start=p_star.tolist())
+        self._refused_by_verify(payload, p_star, tmp_path,
+                                re.escape("lacks keys [], has unknown keys ['start']"))
 
     def test_model_given_as_pairs_rejected(self, rng, tmp_path, capsys):
         # dict() would coerce a list of [key, value] pairs into the descriptor.
@@ -568,8 +595,8 @@ class TestCertificateLoading:
         payload = craft_denial(model, p_star, decoy, seed=1).to_dict()
         del payload["seed"]
         self._refused_by_verify(payload, p_star, tmp_path, "seed")
-        payload["seed"] = None              # a null seed stays valid
-        assert DenialCertificate.from_dict(payload).seed is None
+        payload["seed"] = None              # the replay's start is derived from the seed
+        self._refused_by_verify(payload, p_star, tmp_path, "seed must be an integer")
 
     def test_not_an_object_rejected(self, tmp_path):
         path = tmp_path / "cert.json"
@@ -611,14 +638,6 @@ class TestCertificateValues:
         with pytest.raises(InvalidArguments):
             dataclasses.replace(cert, residual=residual)
 
-    def test_non_finite_start_rejected(self, rng):
-        model, p_star, decoy = small_problem(rng)
-        cert = craft_denial(model, p_star, decoy, seed=1)
-        start = cert.start.copy()
-        start[0] = math.inf
-        with pytest.raises(InvalidArguments):
-            dataclasses.replace(cert, start=start)
-
     def test_certificate_owns_its_decoy(self, rng):
         model, p_star, decoy = small_problem(rng)
         cert = craft_denial(model, p_star, decoy, seed=1)
@@ -648,6 +667,10 @@ class TestCertificateValues:
     @pytest.mark.parametrize("seed", [None, 0, 2 ** 64 - 1])
     def test_seed_round_trips(self, rng, tmp_path, seed):
         model, p_star, decoy = small_problem(rng)
+        if seed is None:  # a certificate needs its seed: the replay's start is derived from it
+            with pytest.raises(InvalidArguments, match="seed must be an integer"):
+                dataclasses.replace(craft_denial(model, p_star, decoy, seed=1), seed=seed)
+            return
         cert = dataclasses.replace(craft_denial(model, p_star, decoy, seed=1), seed=seed)
         path = tmp_path / "cert.json"
         cert.to_json(path)
@@ -885,3 +908,30 @@ class TestTrialPipeline:
         c = substream(5, "decoy").standard_normal(4)
         assert np.array_equal(a, c)
         assert not np.array_equal(a, b)
+
+
+class TestSeeds:
+    # Each entry point draws through derive_seed, which takes an int in [0, 2**64) only.
+    ENTRY_POINTS = {
+        "substream": lambda seed: substream(seed, "decoy"),
+        "generate_decoy": lambda seed: generate_decoy(
+            DistributionSpec.uniform_ints(1, 8, 2), DistributionSpec.uniform_ints(1, 8, 1), 5, seed=seed
+        ),
+        "adversary_recover": lambda seed: adversary_recover(
+            linear_regression_model(2), np.ones(3), 5, seed=seed
+        ),
+        "run_denial_trial": lambda seed: run_denial_trial(d=3, n=6, seed=seed),
+    }
+
+    @pytest.mark.parametrize("seed", [None, 1.5, "1", True, -1, 2 ** 64, np.int64(1)],
+                             ids=["None", "1.5", "str", "True", "-1", "2**64", "int64"])
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_seed_outside_the_range_refused(self, entry, seed):
+        with pytest.raises(InvalidArguments, match="seed must be an integer"):
+            self.ENTRY_POINTS[entry](seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 64 - 1])
+    def test_seed_is_hashed_as_given(self, seed):
+        material = repr((seed, "trial", "3")).encode()
+        expected = int.from_bytes(hashlib.sha256(material).digest()[:8], "big") >> 1
+        assert deniability.derive_seed(seed, "trial", 3) == expected
