@@ -30,9 +30,9 @@ from .errors import (
     RankConditionViolated,
     ZeroResidual,
 )
-from .linalg import ZERO_TOL, numerical_rank, rank_condition
+from .linalg import ZERO_TOL, rank_condition
 from .models import Dataset, ParamModel, jacobian, linear_regression_model, residuals
-from .norms import VARIANT_EUCLIDEAN, CraftedNorm, make_crafted_norm
+from .norms import VARIANT_EUCLIDEAN, CraftedNorm, make_crafted_norm, require_seed
 from .training import FittedModel, LossSpec, OptimizerConfig, fit
 
 CERT_SCHEMA = "denial-cert/4"
@@ -52,13 +52,8 @@ VERIFY_START_SCALE = 1e-2
 
 DECOY_RESAMPLE_ATTEMPTS = 10
 
-# Seeds are unsigned 64-bit integers: 0 <= seed < SEED_LIMIT.
-SEED_LIMIT = 2 ** 64
-
-
-def _is_seed(value) -> bool:
-    """True for an int (not a bool) in [0, SEED_LIMIT)."""
-    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < SEED_LIMIT
+# The keys of a certificate's model descriptor, as ``ParamModel.descriptor`` writes them.
+DESCRIPTOR_KEYS = ("family", "input_dim", "param_dim", "output_dim")
 
 
 def derive_seed(seed: int, *labels) -> int:
@@ -67,8 +62,7 @@ def derive_seed(seed: int, *labels) -> int:
     A ``seed`` that is not an int (a bool included) in [0, 2**64) raises
     InvalidArguments, so every seeded entry point refuses it.
     """
-    if not _is_seed(seed):
-        raise InvalidArguments(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    require_seed(seed)
     material = repr((seed,) + tuple(str(l) for l in labels)).encode()
     digest = hashlib.sha256(material).digest()
     return int.from_bytes(digest[:8], "big") >> 1
@@ -324,11 +318,16 @@ class DenialCertificate:
     residual matrix at p*, and the seed from which ``verify_denial`` derives
     the replay's start point; the replay runs with the package's fixed
     optimizer settings.  The certificate keeps read-only copies of the
-    decoy's arrays, so later edits of the caller's arrays do not reach it.
-    Every number must be finite and ``seed`` must be an integer in
-    [0, 2**64), so that the certificate file states each value exactly;
-    anything else raises InvalidArguments.  A norm whose dimension differs
-    from the residual's row count raises DimensionMismatch.
+    decoy's arrays and its own copy of the descriptor, so later edits of
+    the caller's objects do not reach it.
+
+    Construction alone decides validity, so every certificate writes a file
+    that ``from_json`` loads back to it.  Every number must be finite,
+    ``seed`` an integer in [0, 2**64), the descriptor pass
+    ``_check_descriptor`` and each norm ``CraftedNorm.validate`` against its
+    column of ``residual``, or InvalidArguments is raised; a norm count or
+    dimension that does not fit the residual raises LengthMismatch or
+    DimensionMismatch.
     """
 
     decoy: Dataset
@@ -352,8 +351,9 @@ class DenialCertificate:
             raise LengthMismatch(
                 f"{len(self.norms)} norms for {residual.shape[1]} residual columns"
             )
-        if not _is_seed(self.seed):
-            raise InvalidArguments(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        require_seed(self.seed)
+        _check_descriptor(self.model_descriptor)
+        object.__setattr__(self, "model_descriptor", dict(self.model_descriptor))
         arrays = [self.decoy.inputs, self.decoy.responses, residual]
         for j, nm in enumerate(self.norms):
             if nm.dim != residual.shape[0]:
@@ -364,6 +364,8 @@ class DenialCertificate:
         scalars = [nm.alpha for nm in self.norms]
         if not (all(np.isfinite(a).all() for a in arrays) and all(map(_is_finite, scalars))):
             raise InvalidArguments("certificate holds a NaN or infinite value")
+        for j, nm in enumerate(self.norms):
+            nm.validate(residual[:, j])
 
     def loss_spec(self) -> LossSpec:
         return LossSpec.crafted_matrix(self.norms)
@@ -389,12 +391,11 @@ class DenialCertificate:
     def from_dict(cls, payload: dict) -> "DenialCertificate":
         """Load a certificate, raising InvalidArguments when it is malformed.
 
-        The payload, its ``model``, its ``decoy`` and each norm must be JSON
-        objects with exactly the keys ``to_dict()`` writes, and ``seed`` must
-        be an integer in [0, 2**64), not ``null``.  Every entry of the arrays
-        and each ``alpha`` must be a JSON number: a string, a boolean or a
-        ``null`` is refused.  Each norm's construction invariants are
-        checked against its column of the stored residual.
+        Maps the JSON onto the constructor, which decides what else is
+        valid: the payload, its ``decoy`` and each norm must be JSON objects
+        with exactly the keys ``to_dict()`` writes, under the current schema
+        tag, and every entry of the arrays and each ``alpha`` must be a JSON
+        number: a string, a boolean or a ``null`` is refused.
         """
         if not isinstance(payload, dict):
             raise InvalidArguments(f"a certificate is a JSON object, got {type(payload).__name__}")
@@ -402,7 +403,6 @@ class DenialCertificate:
         if schema != CERT_SCHEMA:
             raise InvalidArguments(f"unsupported certificate schema {schema!r}")
         _require_keys(payload, "certificate", "schema", "seed", "model", "decoy", "residual", "norms")
-        _require_keys(payload["model"], "model", "family", "input_dim", "param_dim", "output_dim")
         _require_keys(payload["decoy"], "decoy", "inputs", "responses")
         try:
             for d in payload["norms"]:
@@ -420,18 +420,15 @@ class DenialCertificate:
                 )
                 for d in payload["norms"]
             )
-            cert = cls(
+            return cls(
                 decoy=decoy,
                 norms=norms,
                 residual=_numbers(payload["residual"], "residual"),
-                model_descriptor=dict(payload["model"]),
+                model_descriptor=payload["model"],
                 seed=payload["seed"],
             )
         except (TypeError, ValueError, OverflowError, DimensionMismatch, LengthMismatch) as exc:
             raise InvalidArguments(f"malformed certificate: {exc!r}") from None
-        for j, nm in enumerate(cert.norms):
-            nm.validate(cert.residual[:, j])
-        return cert
 
     def to_json(self, path) -> None:
         """Write ``self.to_dict()`` as one line of compact JSON and a newline.
@@ -484,6 +481,18 @@ def _require_keys(obj, where: str, *keys) -> None:
                                f"has unknown keys {unknown}")
 
 
+def _check_descriptor(descriptor) -> None:
+    """Raise InvalidArguments unless ``descriptor`` is a dict with exactly ``DESCRIPTOR_KEYS``,
+    a string family and integer (not bool) dimensions in [1, 2**63), as ``ParamModel`` gives."""
+    _require_keys(descriptor, "model", *DESCRIPTOR_KEYS)
+    family, *dims = (descriptor[key] for key in DESCRIPTOR_KEYS)
+    if not (isinstance(family, str) and all(
+            isinstance(v, numbers.Integral) and not isinstance(v, bool) and 0 < v < 2 ** 63
+            for v in dims)):
+        raise InvalidArguments(f"malformed certificate: model {descriptor} needs a string "
+                               "family and positive integer dimensions")
+
+
 def _numbers(value, what: str) -> np.ndarray:
     """A JSON number, or nested arrays of them, as a float array.
 
@@ -524,8 +533,7 @@ def craft_denial(
     infinite entry, or a ``seed`` that is not an int in [0, 2**64), raises
     InvalidArguments before any work is done.
     """
-    if not _is_seed(seed):
-        raise InvalidArguments(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    require_seed(seed)
     p_star = np.asarray(p_star, dtype=float).reshape(-1)
     E = residuals(model, decoy, p_star)  # raises DimensionMismatch on a wrong p*
     _require_finite_params(p_star)
@@ -705,7 +713,7 @@ def adversary_recover(
             X = rng.uniform(1.0, 8.0, size=(n, model.input_dim))
             probe = Dataset(inputs=X, responses=np.zeros((n, model.output_dim)))
             M = jacobian(model, probe, p_star, output_index=0)
-            if numerical_rank(M) < model.param_dim:
+            if np.linalg.matrix_rank(M) < model.param_dim:
                 continue  # refit would be underdetermined
             if avoid is not None and np.array_equal(X, avoid):
                 continue

@@ -1,4 +1,4 @@
-"""SVD-backed kernels: nullspace coordinate maps, numerical rank, rank tests.
+"""SVD-backed kernels: the nullspace coordinate map and the rank test.
 
 All functions are pure and the returned matrices are marked read-only, so
 values can be shared freely across threads.
@@ -58,25 +58,13 @@ def nullspace_projector(e) -> np.ndarray:
     return rows
 
 
-def numerical_rank(M) -> int:
-    """Count singular values above max(rows, cols) * eps times the largest one.
-
-    eps is the float64 machine epsilon.  A matrix whose largest singular
-    value is zero has rank 0.
-    """
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    tol = max(M.shape) * float(np.finfo(float).eps)
-    s = np.linalg.svd(M, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol * s[0]))
-
-
 def rank_condition(M, e) -> bool:
     """True when appending ``e`` as a column raises the numerical rank of M.
 
     Equivalently: ``e`` does not lie in the column space of ``M``, which is
-    what makes a residual usable as the anchor of a crafted norm.
+    what makes a residual usable as the anchor of a crafted norm.  Ranks are
+    ``np.linalg.matrix_rank``'s: singular values above max(rows, cols) * eps
+    times the largest one count.
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
     e = np.asarray(e, dtype=float).reshape(-1)
@@ -85,4 +73,4 @@ def rank_condition(M, e) -> bool:
             f"vector has {e.size} entries but the matrix has {M.shape[0]} rows"
         )
     augmented = np.column_stack([M, e])
-    return numerical_rank(augmented) != numerical_rank(M)
+    return bool(np.linalg.matrix_rank(augmented) != np.linalg.matrix_rank(M))

@@ -38,8 +38,15 @@ W1_COMPLEMENT_TOL = 1e-8   # b(w1) must exceed this
 W1_MAX_DRAWS = 1000        # candidates drawn before giving up
 
 
+def require_seed(seed) -> int:
+    """``seed``, unless it is not an int (a bool included) in [0, 2**64): InvalidArguments then."""
+    if not (isinstance(seed, int) and not isinstance(seed, bool) and 0 <= seed < 2 ** 64):
+        raise InvalidArguments(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return seed
+
+
 def _inner_norm(variant: str, v: np.ndarray) -> float:
-    # Callers hold a variant already checked against _VARIANTS.
+    # Any variant but euclidean reads as one_norm; CraftedNorm refuses unknown ones.
     if variant == VARIANT_EUCLIDEAN:
         # What np.linalg.norm computes for a 1-D float vector, minus its overhead.
         return math.sqrt(float(v @ v))
@@ -114,11 +121,7 @@ def seminorm_b(norm: CraftedNorm, x) -> float:
     return _inner_norm(norm.inner_variant, norm.b_rows @ x)
 
 
-def pick_w1(
-    e,
-    B: np.ndarray,
-    seed: Union[int, None, np.random.Generator] = None,
-) -> np.ndarray:
+def pick_w1(e, B: np.ndarray, seed: Union[int, np.random.Generator]) -> np.ndarray:
     """Draw the anchor direction w1 by rejection sampling.
 
     Directions are sampled uniformly on the sphere and rescaled to unit
@@ -129,15 +132,16 @@ def pick_w1(
     immediately in practice; RejectionExhausted is raised after
     ``W1_MAX_DRAWS`` rejected candidates.
 
-    ``seed`` may be an int, None, or any generator exposing
-    ``standard_normal`` (handy for forcing candidates in tests).
+    ``seed`` is an int in [0, 2**64) or any generator exposing
+    ``standard_normal`` (handy for forcing candidates in tests); None, or
+    any other value, raises InvalidArguments instead of drawing OS entropy.
     """
     e = np.asarray(e, dtype=float).reshape(-1)
     if e.size < 2:
         raise DimensionTooSmall(f"need at least 2 components, got {e.size}")
     if np.shape(B) != (e.size - 1, e.size):
         raise DimensionMismatch("B was built for a different dimension")
-    rng = seed if hasattr(seed, "standard_normal") else np.random.default_rng(seed)
+    rng = seed if hasattr(seed, "standard_normal") else np.random.default_rng(require_seed(seed))
     e_norm = float(np.linalg.norm(e))
     for _ in range(W1_MAX_DRAWS):
         v = np.asarray(rng.standard_normal(e.size), dtype=float)
@@ -154,23 +158,20 @@ def pick_w1(
 
 def make_crafted_norm(
     e,
-    seed: Union[int, None, np.random.Generator] = None,
+    seed: Union[int, np.random.Generator],
     inner_variant: str = VARIANT_EUCLIDEAN,
 ) -> CraftedNorm:
     """Build the full crafted norm anchored on residual ``e``.
 
-    Composes the nullspace projector, the w1 draw, and alpha = b(w1) / 2,
-    which keeps the |x . w1| term strictly dominated by b away from the
-    anchor direction.
+    Composes the nullspace projector, the w1 draw (``seed`` as in
+    ``pick_w1``), and alpha = b(w1) / 2, which keeps the |x . w1| term
+    strictly dominated by b away from the anchor direction.  The
+    ``DenialCertificate`` that holds the norm runs ``CraftedNorm.validate``.
     """
-    if inner_variant not in _VARIANTS:
-        raise InvalidArguments(f"unknown inner-norm variant {inner_variant!r}")
     B = nullspace_projector(e)
     w1 = pick_w1(e, B, seed)
     alpha = 0.5 * _inner_norm(inner_variant, B @ w1)
-    norm = CraftedNorm(b_rows=B, w1=w1, alpha=alpha, inner_variant=inner_variant)
-    norm.validate(e)
-    return norm
+    return CraftedNorm(b_rows=B, w1=w1, alpha=alpha, inner_variant=inner_variant)
 
 
 def crafted_norm_value(norm: CraftedNorm, x) -> float:

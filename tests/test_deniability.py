@@ -1,14 +1,19 @@
 import dataclasses
+import errno
 import hashlib
 import json
 import math
+import os
 import re
 import struct
+import tempfile
 import tracemalloc
 
 import numpy as np
 import orjson
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from deniable_fit import (
@@ -393,13 +398,6 @@ class TestVerifyDenial:
                 verify_denial(cert, other, p_star)
         assert verify_denial(cert, model, p_star).passed
 
-    def test_descriptor_with_an_extra_key_rejected(self, rng):
-        model, p_star, decoy = small_problem(rng)
-        cert = craft_denial(model, p_star, decoy, seed=1)
-        noted = dataclasses.replace(cert, model_descriptor=dict(cert.model_descriptor, note="anything"))
-        with pytest.raises(InvalidArguments, match="certificate was issued for"):
-            verify_denial(noted, model, p_star)
-
     @pytest.mark.parametrize("variant", ["euclidean", "one_norm"])
     def test_replay_starts_where_the_seed_says(self, rng, variant):
         model, p_star, decoy = small_problem(rng)
@@ -658,6 +656,40 @@ class TestCertificateValues:
             cert.decoy.responses = np.zeros((10, 1))
         assert verify_denial(cert, model, p_star).passed
 
+    def test_descriptor_with_an_extra_key_rejected(self, rng):
+        # Refused when built, as on load, so to_json never writes a file from_json refuses.
+        model, p_star, decoy = small_problem(rng)
+        cert = craft_denial(model, p_star, decoy, seed=1)
+        with pytest.raises(InvalidArguments, match=re.escape("has unknown keys ['note']")):
+            dataclasses.replace(cert, model_descriptor=dict(cert.model_descriptor, note="x"))
+        short = {key: value for key, value in cert.model_descriptor.items() if key != "family"}
+        with pytest.raises(InvalidArguments, match=re.escape("lacks keys ['family']")):
+            dataclasses.replace(cert, model_descriptor=short)
+
+    @pytest.mark.parametrize("key, value", [
+        ("family", 7), ("family", None), ("input_dim", 5.0), ("input_dim", True),
+        ("input_dim", "5"), ("param_dim", 0), ("output_dim", 2 ** 64),
+    ])
+    def test_descriptor_values_of_another_form_rejected(self, rng, tmp_path, capsys, key, value):
+        # An input_dim of 5.0 compares equal to the model's 5, so verify used to pass it.
+        model, p_star, decoy = small_problem(rng)
+        cert = craft_denial(model, p_star, decoy, seed=1)
+        with pytest.raises(InvalidArguments, match="needs a string family"):
+            dataclasses.replace(cert, model_descriptor=dict(cert.model_descriptor, **{key: value}))
+        payload = cert.to_dict()
+        payload["model"][key] = value
+        TestCertificateLoading._refused_by_verify(payload, p_star, tmp_path, "needs a string family")
+
+    def test_certificate_owns_its_descriptor(self, rng, tmp_path):
+        model, p_star, decoy = small_problem(rng)
+        descriptor = model.descriptor()
+        cert = dataclasses.replace(craft_denial(model, p_star, decoy, seed=1),
+                                   model_descriptor=descriptor)
+        descriptor["note"] = "x"
+        assert cert.model_descriptor == model.descriptor()
+        cert.to_json(tmp_path / "cert.json")
+        assert DenialCertificate.from_json(tmp_path / "cert.json").to_dict() == cert.to_dict()
+
     @pytest.mark.parametrize("seed", [2 ** 64, -1])
     def test_craft_refuses_a_seed_beyond_64_bits(self, rng, seed):
         model, p_star, decoy = small_problem(rng)
@@ -726,7 +758,63 @@ def _fortran_ordered(cert):
     return dataclasses.replace(cert, decoy=decoy, residual=np.asfortranarray(cert.residual))
 
 
+def _small_certificate(seed, n, outputs, variant):
+    """A certificate for a two-parameter model, craftable at any n >= 3."""
+    rng = np.random.default_rng(seed)
+    model = linear_regression_model(1) if outputs == 1 else two_output_linear_model(1)
+    decoy = Dataset(rng.uniform(1.0, 8.0, size=(n, 1)), rng.uniform(1.0, 8.0, size=(n, outputs)))
+    return craft_denial(model, rng.uniform(-3.0, 3.0, size=2), decoy, seed=seed, inner_variant=variant)
+
+
+def _with_norms(cert, **changes):
+    """``cert`` with each norm's field ``key`` replaced by ``changes[key](norm)``."""
+    return dataclasses.replace(cert, norms=tuple(
+        dataclasses.replace(nm, **{key: change(nm) for key, change in changes.items()})
+        for nm in cert.norms))
+
+
+def _with_descriptor(cert, **entries):
+    return dataclasses.replace(cert, model_descriptor=dict(cert.model_descriptor, **entries))
+
+
+# Edits of a crafted certificate: those in REFUSED_EDITS must not construct.
+EDITS = {
+    "none": lambda cert: cert,
+    "largest_seed": lambda cert: dataclasses.replace(cert, seed=2 ** 64 - 1),
+    "doubled_residual": lambda cert: dataclasses.replace(cert, residual=2.0 * cert.residual),
+    "renamed_family": lambda cert: _with_descriptor(cert, family="renamed"),
+    "smaller_alpha": lambda cert: _with_norms(cert, alpha=lambda nm: 0.5 * nm.alpha),
+    "note": lambda cert: _with_descriptor(cert, note="x"),
+    "dimension_beyond_64_bits": lambda cert: _with_descriptor(cert, input_dim=2 ** 64),
+    "nan_family": lambda cert: _with_descriptor(cert, family=math.nan),
+    "float_dimension": lambda cert: _with_descriptor(cert, param_dim=2.0),
+    "alpha_above_b": lambda cert: _with_norms(cert, alpha=lambda nm: 3.0 * nm.alpha),
+    "w1_orthogonal_to_e": lambda cert: _with_norms(
+        cert, w1=lambda nm: nm.b_rows[0] / np.abs(nm.b_rows[0]).sum()),
+    "nan_alpha": lambda cert: _with_norms(cert, alpha=lambda nm: math.nan),
+}
+REFUSED_EDITS = {"note", "dimension_beyond_64_bits", "nan_family", "float_dimension",
+                 "alpha_above_b", "w1_orthogonal_to_e", "nan_alpha"}
+
+
 class TestCertificateWriting:
+    @pytest.mark.parametrize("edit", sorted(EDITS))
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(3, 40), outputs=st.sampled_from([1, 2]),
+           variant=st.sampled_from(["euclidean", "one_norm"]))
+    def test_every_certificate_that_constructs_loads_back(self, edit, seed, n, outputs, variant):
+        cert = _small_certificate(seed, n, outputs, variant)
+        try:
+            edited = EDITS[edit](cert)
+        except InvalidArguments:
+            assert edit in REFUSED_EDITS
+            return
+        assert edit not in REFUSED_EDITS
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cert.json")
+            edited.to_json(path)
+            assert _bits(DenialCertificate.from_json(path).to_dict()) == _bits(edited.to_dict())
+
     @pytest.mark.parametrize("variant", ["euclidean", "one_norm"])
     @pytest.mark.parametrize("outputs", [1, 2])
     @pytest.mark.parametrize("n", [10, 200])
@@ -772,17 +860,22 @@ class TestCertificateWriting:
         before = verify_denial(cert, model, p_star).to_dict()
         assert verify_denial(clone, model, p_star).to_dict() == before
 
-    def test_failed_write_keeps_the_old_file(self, rng, tmp_path):
+    def test_failed_write_keeps_the_old_file(self, rng, tmp_path, monkeypatch):
         _, _, cert = _certificate(rng, 1, 10, "euclidean")
         path = tmp_path / "cert.json"
         path.write_bytes(b"x" * 100_000)
         cert.to_json(str(path))
         old = path.read_bytes()
         assert old == orjson.dumps(cert.to_dict()) + b"\n"
-        # orjson cannot encode an integer beyond 64 bits, so this write fails midway.
-        bad = dataclasses.replace(cert, model_descriptor=dict(cert.model_descriptor, note=2 ** 64))
-        with pytest.raises(TypeError):
-            bad.to_json(path)
+
+        def disk_full(write, value, orjson):
+            write(b'{"schema":')  # the start of the text reaches the file
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        # Every certificate that constructs can be encoded, so the disk fails the write midway.
+        monkeypatch.setattr(deniability, "_write_compact", disk_full)
+        with pytest.raises(OSError):
+            dataclasses.replace(cert, seed=2).to_json(path)
         assert path.read_bytes() == old
         assert [p.name for p in tmp_path.iterdir()] == ["cert.json"]
 

@@ -7,7 +7,6 @@ from deniable_fit import (
     DimensionTooSmall,
     ZeroErrorVector,
     nullspace_projector,
-    numerical_rank,
     rank_condition,
 )
 
@@ -67,23 +66,30 @@ class TestNullspaceProjector:
 
 
 class TestNumericalRank:
+    """The rank rule of ``rank_condition``: whether appending ``e`` raises the rank of M."""
+
     def test_near_singular_with_explicit_tol(self):
         # The tolerance is fixed at max(rows, cols) * eps = 4.4e-16 relative to s[0].
-        assert numerical_rank(np.array([[1.0, 0.0], [0.0, 1e-17]])) == 1
-        assert numerical_rank(np.array([[1.0, 0.0], [0.0, 1e-13]])) == 2
+        M = np.array([[1.0], [0.0]])
+        assert rank_condition(M, [0.0, 1e-17]) is False
+        assert rank_condition(M, [0.0, 1e-13]) is True
 
     def test_zero_matrix(self):
-        assert numerical_rank(np.zeros((3, 4))) == 0
+        assert rank_condition(np.zeros((3, 4)), np.zeros(3)) is False
+        assert rank_condition(np.zeros((3, 4)), [0.0, 2.0, 0.0]) is True
 
     def test_identity(self):
-        assert numerical_rank(np.eye(5)) == 5
+        assert rank_condition(np.eye(5), [1.0, -2.0, 0.5, 3.0, 7.0]) is False
+        assert rank_condition(np.eye(5)[:, :4], np.eye(5)[4]) is True
 
     def test_matches_exact_oracle_on_integer_matrices(self, rng):
         for _ in range(300):
             r = int(rng.integers(1, 6))
             c = int(rng.integers(1, 6))
             M = rng.integers(-3, 4, size=(r, c)).astype(float)
-            assert numerical_rank(M) == exact_rank(M)
+            e = rng.integers(-3, 4, size=r).astype(float)
+            raised = exact_rank(np.column_stack([M, e])) != exact_rank(M)
+            assert rank_condition(M, e) is raised
 
 
 class TestRankCondition:

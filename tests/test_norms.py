@@ -74,6 +74,22 @@ class TestPickW1:
         with pytest.raises(RejectionExhausted):
             pick_w1(e, B, seed=ForcedRng([[0.0, 1.0]]))
 
+    @pytest.mark.parametrize("seed", [None, -1, 2 ** 64, 1.5, True, np.int64(7)])
+    def test_seed_that_is_not_a_64_bit_int_rejected(self, seed):
+        # None used to draw from OS entropy, so the norm could not be crafted again.
+        e = np.array([0.3, -1.2, 4.0])
+        with pytest.raises(InvalidArguments, match="seed must be an integer"):
+            pick_w1(e, nullspace_projector(e), seed=seed)
+        with pytest.raises(InvalidArguments, match="seed must be an integer"):
+            make_crafted_norm(e, seed=seed)
+
+    def test_seed_is_required(self):
+        e = np.array([0.3, -1.2, 4.0])
+        with pytest.raises(TypeError):
+            pick_w1(e, nullspace_projector(e))
+        with pytest.raises(TypeError):
+            make_crafted_norm(e)
+
     def test_unit_one_norm(self, rng):
         for _ in range(25):
             e = rng.normal(size=6)
@@ -234,6 +250,10 @@ class TestConstruction:
             norm.b_rows[0, 0] = 7.0
         with pytest.raises(ValueError):
             norm.w1[0] = 7.0
+
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(InvalidArguments, match="unknown inner-norm variant"):
+            make_crafted_norm([1.0, 2.0, 3.0], seed=0, inner_variant="huber")
 
     def test_validate_checks_against_the_given_anchor(self):
         norm = fixed_norm()  # anchored on e = (1, 0), w1 = (1/2, 1/2)
