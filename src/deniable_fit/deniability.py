@@ -602,8 +602,15 @@ def craft_denial_resampling(
     Residuals of randomly drawn decoys land in the Jacobian's column space
     only on a measure-zero set, so the first attempt almost always
     succeeds; the cap of ``DECOY_RESAMPLE_ATTEMPTS`` decoys keeps
-    pathological model/spec pairings from looping.
+    pathological model/spec pairings from looping.  An ``n`` of at most
+    ``model.param_dim`` raises InvalidArguments before any draw: the
+    Jacobian's columns then span every residual of a full-rank decoy, and
+    a rank-deficient decoy leaves p* not the unique minimizer.
     """
+    if n <= model.param_dim:
+        raise InvalidArguments(
+            f"need more decoy records than parameters: n={n}, d={model.param_dim}"
+        )
     cert, _ = _craft_resampling(
         model, p_star, input_spec, response_spec, n, seed, inner_variant
     )
@@ -766,10 +773,13 @@ def run_denial_trial(
     that the decoy retrains to p* within ``tolerance``.  The linear model
     is declared affine, so the honest fit is the exact least-squares
     solution (one solve); the replay under the crafted loss is the
-    Nelder-Mead search, and ``converged`` reports it.
+    Nelder-Mead search, and ``converged`` reports it.  Raises
+    InvalidArguments, before any draw, unless d >= 2 and n > d: no decoy
+    of n <= d records supports a certificate (see
+    ``craft_denial_resampling``).
     """
-    if d < 2 or n < 2:
-        raise InvalidArguments("need d >= 2 and n >= 2")
+    if d < 2 or n <= d:
+        raise InvalidArguments(f"need d >= 2 and more records than parameters: n={n}, d={d}")
     m = d - 1
     trial_seed = derive_seed(seed, "trial", index)
 

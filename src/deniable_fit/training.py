@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -126,127 +126,94 @@ class FittedModel:
         object.__setattr__(self, "params", params)
 
 
-def _sort_simplex(simplex: np.ndarray, values: list) -> Tuple[np.ndarray, list]:
-    # list.sort is stable, so ties keep their order, as np.argsort(kind="stable").
-    order = sorted(range(len(values)), key=values.__getitem__)
-    return simplex[order], [values[i] for i in order]
+def minimize(objective: Callable[[np.ndarray], float], config: OptimizerConfig) -> FittedModel:
+    """Restarted Nelder-Mead simplex descent from ``config.start``, in one loop.
 
+    Each descent spans a simplex from the best point so far, offsetting
+    coordinate l by ``SIMPLEX_SCALE * max(1, |x_l|)``, and stops when the
+    spread of its vertex values drops below ``CONVERGENCE_TOL``.  A
+    collapsed simplex on a kinked landscape can stall short of the optimum,
+    so descents restart until one improves the best value by no more than
+    ``CONVERGENCE_TOL``.  All descents share the ``MAX_ITERS`` budget;
+    ``converged`` reports whether the last met the spread criterion.
 
-def _descend(
-    objective: Callable[[np.ndarray], float],
-    x0: np.ndarray,
-    f0: float,
-    iterations_used: int,
-    callback: Optional[Callable[[float], None]],
-) -> Tuple[np.ndarray, float, int, bool]:
-    """One simplex descent from ``x0`` until the value spread collapses.
-
-    ``objective`` returns a float that is never NaN.  The rows of
-    ``simplex`` stay sorted by ``values``, ascending, ties in the order the
-    vertices entered.
-    """
-    d = x0.size
-    simplex = np.empty((d + 1, d))
-    simplex[0] = x0
-    values = [f0]
-    for l in range(d):
-        vertex = x0.copy()
-        vertex[l] += SIMPLEX_SCALE * max(1.0, abs(x0[l]))
-        simplex[l + 1] = vertex
-        values.append(objective(vertex))
-    simplex, values = _sort_simplex(simplex, values)
-
-    converged = values[-1] - values[0] < CONVERGENCE_TOL
-    while not converged and iterations_used < MAX_ITERS:
-        iterations_used += 1
-        centroid = simplex[:-1].sum(axis=0) / d
-        worst = simplex[-1]
-
-        reflected = centroid + (centroid - worst)
-        f_reflected = objective(reflected)
-        if values[0] <= f_reflected < values[-2]:
-            vertex, f_vertex = reflected, f_reflected
-        elif f_reflected < values[0]:
-            expanded = centroid + 2.0 * (centroid - worst)
-            f_expanded = objective(expanded)
-            if f_expanded < f_reflected:
-                vertex, f_vertex = expanded, f_expanded
-            else:
-                vertex, f_vertex = reflected, f_reflected
-        else:
-            if f_reflected < values[-1]:
-                contracted = centroid + 0.5 * (reflected - centroid)
-                f_contracted = objective(contracted)
-                accept = f_contracted <= f_reflected
-            else:
-                contracted = centroid - 0.5 * (centroid - worst)
-                f_contracted = objective(contracted)
-                accept = f_contracted < values[-1]
-            if accept:
-                vertex, f_vertex = contracted, f_contracted
-            else:
-                # Shrink everything toward the best vertex, which is kept.
-                vertex = None
-                for i in range(1, d + 1):
-                    simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
-                    values[i] = objective(simplex[i])
-                simplex, values = _sort_simplex(simplex, values)
-
-        if vertex is not None:
-            # The new vertex replaces the worst one and goes after every
-            # vertex whose value it does not undercut, as a stable sort would.
-            i = bisect_right(values, f_vertex, 0, d)
-            simplex[i + 1:] = simplex[i:-1]
-            simplex[i] = vertex
-            values.pop()
-            values.insert(i, f_vertex)
-        if callback is not None:
-            callback(values[0])
-        converged = values[-1] - values[0] < CONVERGENCE_TOL
-
-    return simplex[0].copy(), values[0], iterations_used, converged
-
-
-def minimize(
-    objective: Callable[[np.ndarray], float],
-    config: OptimizerConfig,
-    callback: Optional[Callable[[float], None]] = None,
-) -> FittedModel:
-    """Restarted Nelder-Mead simplex descent from ``config.start``.
-
-    Each descent offsets coordinate l of its start point by
-    ``SIMPLEX_SCALE * max(1, |start_l|)`` to span the initial simplex and
-    runs until the spread of vertex objective values drops below
-    ``CONVERGENCE_TOL``.  A collapsed simplex on a kinked landscape can
-    stall short of the optimum, so descents are restarted from the best
-    point until one fails to improve it by more than ``CONVERGENCE_TOL``
-    (the non-smooth losses here are exactly the stalling kind).  All
-    descents share the ``MAX_ITERS`` budget; ``converged`` reports whether
-    the final spread criterion was met within it.  The best value never
-    increases across iterations (restarts keep the best vertex);
-    ``callback``, when given, observes it once per iteration.
-
-    Raises NonFiniteObjective when the objective is NaN or infinite at the
-    start point.
+    A NaN objective value counts as +inf.  The best value never increases,
+    so ``final_loss`` is the least value evaluated; ``evaluations`` counts
+    every objective call, the one at the start point included.  Raises
+    NonFiniteObjective when the objective is NaN or infinite at the start.
     """
     x = np.array(config.start, dtype=float)
     f = float(objective(x))
-    if not np.isfinite(f):
+    if not math.isfinite(f):
         raise NonFiniteObjective(f"objective is {f} at the start point")
+    d = x.size
     evaluations = 1
-
-    def checked(p: np.ndarray) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        value = float(objective(p))
-        # NaN would poison the simplex ordering; treat it as "worst possible".
-        return math.inf if math.isnan(value) else value
-
     iterations = 0
-    converged = False
     while True:
         previous_best = f
-        x, f, iterations, converged = _descend(checked, x, f, iterations, callback)
+        simplex = np.tile(x, (d + 1, 1))
+        for l in range(d):
+            simplex[l + 1, l] += SIMPLEX_SCALE * max(1.0, abs(x[l]))
+        values = [f] * (d + 1)
+        vertex = None           # no new vertex: rows 1..d are to be evaluated
+        while True:
+            if vertex is None:
+                # NaN becomes +inf here, in the only values stored unchecked;
+                # a trial value below fails every comparison alike as NaN or
+                # +inf.  The stable sort keeps ties in their order of entry.
+                for i in range(1, d + 1):
+                    value = float(objective(simplex[i]))
+                    values[i] = math.inf if math.isnan(value) else value
+                evaluations += d
+                order = sorted(range(d + 1), key=values.__getitem__)
+                simplex, values = simplex[order], [values[i] for i in order]
+            else:
+                # The new vertex replaces the worst one and goes after every
+                # vertex whose value it does not undercut, as a stable sort would.
+                i = bisect_right(values, f_vertex, 0, d)
+                simplex[i + 1:] = simplex[i:-1]
+                simplex[i] = vertex
+                values.pop()
+                values.insert(i, f_vertex)
+            converged = values[-1] - values[0] < CONVERGENCE_TOL
+            if converged or iterations >= MAX_ITERS:
+                break
+            iterations += 1
+            centroid = simplex[:-1].sum(axis=0) / d
+            worst = simplex[-1]
+
+            reflected = centroid + (centroid - worst)
+            f_reflected = float(objective(reflected))
+            evaluations += 1
+            if values[0] <= f_reflected < values[-2]:
+                vertex, f_vertex = reflected, f_reflected
+            elif f_reflected < values[0]:
+                expanded = centroid + 2.0 * (centroid - worst)
+                f_expanded = float(objective(expanded))
+                evaluations += 1
+                if f_expanded < f_reflected:
+                    vertex, f_vertex = expanded, f_expanded
+                else:
+                    vertex, f_vertex = reflected, f_reflected
+            else:
+                if f_reflected < values[-1]:
+                    contracted = centroid + 0.5 * (reflected - centroid)
+                    f_contracted = float(objective(contracted))
+                    accept = f_contracted <= f_reflected
+                else:
+                    contracted = centroid - 0.5 * (centroid - worst)
+                    f_contracted = float(objective(contracted))
+                    accept = f_contracted < values[-1]
+                evaluations += 1
+                if accept:
+                    vertex, f_vertex = contracted, f_contracted
+                else:
+                    # Shrink everything toward the best vertex, which is kept.
+                    vertex = None
+                    for i in range(1, d + 1):
+                        simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
+
+        x, f = simplex[0], values[0]
         if not converged or previous_best - f <= CONVERGENCE_TOL:
             break
 

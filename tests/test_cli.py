@@ -403,6 +403,13 @@ class TestExperiment:
         assert "InvalidArguments: seed must be an integer" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_no_more_records_than_parameters_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "results.json"
+        assert main(["experiment", "--d", "6", "--n", "4", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "InvalidArguments: need d >= 2 and more records than parameters: n=4, d=6" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("trials", ["0", "-2"])
     def test_fewer_than_one_trial_exits_1(self, trials, tmp_path, capsys):
         out = tmp_path / "results.json"

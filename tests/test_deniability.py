@@ -309,6 +309,19 @@ class TestCraftDenial:
         )
         assert rank_condition(jacobian(model, cert.decoy, p_star), cert.residual[:, 0])
 
+    @pytest.mark.parametrize("n", [6, 3])
+    def test_resampling_refuses_no_more_records_than_parameters(self, n, rng, monkeypatch):
+        # With n <= d no decoy supports a certificate, so none is drawn.
+        model, p_star, _ = small_problem(rng)
+        monkeypatch.setattr(deniability, "generate_decoy", _no_decoy_draws)
+        with pytest.raises(InvalidArguments, match=f"n={n}, d=6"):
+            craft_denial_resampling(model, p_star, DistributionSpec.uniform_ints(1, 8, 5),
+                                    DistributionSpec.uniform_ints(1, 8, 1), n, seed=3)
+
+
+def _no_decoy_draws(*args, **kwargs):
+    raise AssertionError("a decoy was drawn")
+
 
 class TestVerifyDenial:
     def test_round_trip_verification_passes(self, rng):
@@ -981,6 +994,16 @@ class TestTrialPipeline:
         result = run_denial_trial(d=4, n=8, seed=123, index=0)
         assert result.passed
         assert result.converged
+        assert result.craft_attempts >= 1
+
+    @pytest.mark.parametrize("d, n", [(6, 6), (6, 4), (2, 1)])
+    def test_no_more_records_than_parameters_refused(self, d, n, monkeypatch):
+        monkeypatch.setattr(deniability, "generate_decoy", _no_decoy_draws)
+        with pytest.raises(InvalidArguments, match=f"n={n}, d={d}"):
+            run_denial_trial(d=d, n=n, seed=0)
+
+    def test_one_record_more_than_parameters_crafts(self):
+        result = run_denial_trial(d=3, n=4, seed=0)
         assert result.craft_attempts >= 1
 
     def test_honest_fit_is_least_squares_at_d20(self):

@@ -45,7 +45,7 @@ def _reference_checked_call(objective, x):
     return np.inf if np.isnan(value) else value
 
 
-def _reference_descend(objective, x0, f0, iterations_used, callback):
+def _reference_descend(objective, x0, f0, iterations_used):
     d = x0.size
     simplex = np.empty((d + 1, d))
     values = np.empty(d + 1)
@@ -95,14 +95,12 @@ def _reference_descend(objective, x0, f0, iterations_used, callback):
 
         order = np.argsort(values, kind="stable")
         simplex, values = simplex[order], values[order]
-        if callback is not None:
-            callback(float(values[0]))
         converged = values[-1] - values[0] < training.CONVERGENCE_TOL
 
     return simplex[0].copy(), float(values[0]), iterations_used, bool(converged)
 
 
-def reference_minimize(objective, config, callback=None):
+def reference_minimize(objective, config):
     """Returns (params, final_loss, iterations, converged, objective calls)."""
     calls = 0
 
@@ -119,7 +117,7 @@ def reference_minimize(objective, config, callback=None):
     converged = False
     while True:
         previous_best = f
-        x, f, iterations, converged = _reference_descend(counted, x, f, iterations, callback)
+        x, f, iterations, converged = _reference_descend(counted, x, f, iterations)
         if not converged or previous_best - f <= training.CONVERGENCE_TOL:
             break
     return x, f, iterations, converged, calls
@@ -157,15 +155,13 @@ def bits(value) -> bytes:
     return struct.pack("<d", value)
 
 
-def assert_same_fit(result, reference, seen=None, reference_seen=None):
+def assert_same_fit(result, reference):
     params, final_loss, iterations, converged, calls = reference
     assert result.params.tobytes() == params.tobytes()
     assert bits(result.final_loss) == bits(final_loss)
     assert result.iterations == iterations
     assert result.converged is converged
     assert result.evaluations == calls
-    if seen is not None:
-        assert [bits(v) for v in seen] == [bits(v) for v in reference_seen]
 
 
 def _crafted_problem(seed, d, variant):
@@ -213,14 +209,25 @@ class TestMinimize:
         assert first.converged == second.converged
 
     def test_best_vertex_never_worsens(self):
-        seen = []
-        minimize(
-            lambda p: float(np.sum(np.abs(p))) + 0.1 * float(np.sum(p ** 2)),
-            OptimizerConfig(start=np.array([4.0, -3.0, 2.0])),
-            callback=seen.append,
-        )
-        assert len(seen) > 0
-        assert all(b <= a + 1e-15 for a, b in zip(seen, seen[1:]))
+        # The best vertex never worsens, so the result is the least value the
+        # objective returned, NaN aside, and every call is counted: on a
+        # kinked bowl and with NaN in a half-space.
+        cases = [
+            (lambda p: float(np.sum(np.abs(p))) + 0.1 * float(np.sum(p ** 2)), [4.0, -3.0, 2.0], False),
+            (lambda p: math.nan if p[0] > 1.0 else float((p[0] - 0.93) ** 2), [0.0], True),
+        ]
+        for objective, start, meets_nan in cases:
+            returned = []
+
+            def recording(p):
+                returned.append(objective(p))
+                return returned[-1]
+
+            result = minimize(recording, OptimizerConfig(start=np.array(start)))
+            assert result.iterations > 0
+            assert any(math.isnan(v) for v in returned) == meets_nan
+            assert bits(result.final_loss) == bits(min(v for v in returned if not math.isnan(v)))
+            assert result.evaluations == len(returned)
 
     def test_nan_mid_run_is_treated_as_worst(self):
         # objective is finite at the start but NaN in a half-space
@@ -278,13 +285,23 @@ class TestMatchesReferenceLoop:
     def test_minimize_bitwise(self, seed, d, kind):
         objective, start = _objective_and_start(kind, seed, d)
         config = OptimizerConfig(start=start)
-        seen, reference_seen = [], []
         # A smaller budget keeps the pure-Python reference loop quick.
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(training, "MAX_ITERS", 2000)
-            result = minimize(objective, config, callback=seen.append)
-            reference = reference_minimize(objective, config, callback=reference_seen.append)
-        assert_same_fit(result, reference, seen, reference_seen)
+            result = minimize(objective, config)
+            reference = reference_minimize(objective, config)
+        assert_same_fit(result, reference)
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_nan_in_the_first_simplex_counts_as_inf(self, d):
+        # The first offset along p[0] lands where the objective is NaN.
+        target = np.linspace(-0.5, 0.5, d)
+
+        def objective(p):
+            return math.nan if p[0] > 0.02 else float(np.abs(p - target).sum())
+
+        config = OptimizerConfig(start=np.zeros(d))
+        assert_same_fit(minimize(objective, config), reference_minimize(objective, config))
 
     @pytest.mark.parametrize("kind", ["two_norm", "crafted", "crafted_matrix"])
     def test_fit_bitwise(self, kind, monkeypatch):
