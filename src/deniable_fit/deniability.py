@@ -30,9 +30,9 @@ from .errors import (
     RankConditionViolated,
     ZeroResidual,
 )
-from .linalg import ZERO_TOL, rank_condition
 from .models import Dataset, ParamModel, jacobian, linear_regression_model, residuals
-from .norms import VARIANT_EUCLIDEAN, CraftedNorm, make_crafted_norm, require_seed
+from .norms import (VARIANT_EUCLIDEAN, ZERO_TOL, CraftedNorm, make_crafted_norm,
+                    rank_condition, require_seed)
 from .training import FittedModel, LossSpec, OptimizerConfig, fit
 
 CERT_SCHEMA = "denial-cert/4"
@@ -325,9 +325,9 @@ class DenialCertificate:
     that ``from_json`` loads back to it.  Every number must be finite,
     ``seed`` an integer in [0, 2**64), the descriptor pass
     ``_check_descriptor`` and each norm ``CraftedNorm.validate`` against its
-    column of ``residual``, or InvalidArguments is raised; a norm count or
-    dimension that does not fit the residual raises LengthMismatch or
-    DimensionMismatch.
+    column of ``residual``, or InvalidArguments is raised.  Shapes that
+    disagree with each other or with the descriptor's dimensions raise
+    DimensionMismatch, and a norm count off the residual's LengthMismatch.
     """
 
     decoy: Dataset
@@ -347,13 +347,17 @@ class DenialCertificate:
         object.__setattr__(self, "decoy", decoy)
         object.__setattr__(self, "residual", residual)
         object.__setattr__(self, "norms", tuple(self.norms))
-        if len(self.norms) != residual.shape[1]:
-            raise LengthMismatch(
-                f"{len(self.norms)} norms for {residual.shape[1]} residual columns"
-            )
         require_seed(self.seed)
         _check_descriptor(self.model_descriptor)
         object.__setattr__(self, "model_descriptor", dict(self.model_descriptor))
+        m, k = self.model_descriptor["input_dim"], self.model_descriptor["output_dim"]
+        if decoy.input_dim != m or decoy.output_dim != k or residual.shape != (decoy.n, k):
+            raise DimensionMismatch(
+                f"a model of {m} inputs and {k} outputs, decoy inputs {decoy.inputs.shape}, "
+                f"decoy responses {decoy.responses.shape} and residual {residual.shape} disagree"
+            )
+        if len(self.norms) != k:
+            raise LengthMismatch(f"{len(self.norms)} norms for {k} residual columns")
         arrays = [self.decoy.inputs, self.decoy.responses, residual]
         for j, nm in enumerate(self.norms):
             if nm.dim != residual.shape[0]:
@@ -666,8 +670,6 @@ def verify_denial(
     p_star = np.asarray(p_star, dtype=float).reshape(-1)
     E = residuals(model, certificate.decoy, p_star)  # raises DimensionMismatch on a wrong p*
     _require_finite_params(p_star)
-    if E.shape != certificate.residual.shape:
-        raise CertificateTampered("stored residual has the wrong shape")
     if float(np.max(np.abs(E - certificate.residual))) > INTEGRITY_TOL:
         raise CertificateTampered("stored residual does not match recomputation")
     for j, nm in enumerate(certificate.norms):

@@ -7,7 +7,8 @@ random direction w1 that sees the residual, and combine
 
 The result is a genuine norm whose unit ball is stretched so that the
 chosen residual is the cheapest way to be wrong, which is what lets decoy
-training data reproduce a predetermined model.
+training data reproduce a predetermined model.  The module also holds the
+read-only projector B behind b and the rank test for anchoring residuals.
 """
 
 from __future__ import annotations
@@ -25,17 +26,77 @@ from .errors import (
     LengthMismatch,
     RejectionExhausted,
     VariantMismatch,
+    ZeroErrorVector,
 )
-from .linalg import nullspace_projector
 
 VARIANT_EUCLIDEAN = "euclidean"
 VARIANT_ONE_NORM = "one_norm"
 _VARIANTS = (VARIANT_EUCLIDEAN, VARIANT_ONE_NORM)
 
+# Absolute 2-norm threshold below which an error vector counts as zero.
+ZERO_TOL = 1e-12
+
 # Acceptance thresholds for the anchor direction w1.
 W1_ALIGNMENT_RTOL = 1e-8   # |e . w1| must exceed this times ||e||_2
 W1_COMPLEMENT_TOL = 1e-8   # b(w1) must exceed this
 W1_MAX_DRAWS = 1000        # candidates drawn before giving up
+
+
+def nullspace_projector(e) -> np.ndarray:
+    """The (n-1, n) matrix B with orthonormal rows whose kernel is exactly span{e}.
+
+    Runs a full SVD of ``e`` viewed as an n x 1 matrix and collects the rows
+    of U^T that pair with zero singular values.  Those rows are orthonormal
+    and annihilate ``e``; applying B to a vector expresses its component
+    orthogonal to ``e`` in an orthonormal basis.
+
+    Parameters
+    ----------
+    e : array_like
+        Real vector with n >= 2 entries and 2-norm above ``ZERO_TOL``.
+
+    Raises
+    ------
+    ZeroErrorVector
+        If ``e`` is numerically zero.
+    DimensionTooSmall
+        If n < 2 (there is no complement to map onto).
+    """
+    e = np.asarray(e, dtype=float).reshape(-1)
+    n = e.size
+    if n < 2:
+        raise DimensionTooSmall(f"need at least 2 components, got {n}")
+    if not np.all(np.isfinite(e)):
+        raise InvalidArguments("error vector must be finite")
+    if float(np.linalg.norm(e)) <= ZERO_TOL:
+        raise ZeroErrorVector("cannot anchor a norm on a zero residual")
+
+    u, _, _ = np.linalg.svd(e.reshape(n, 1), full_matrices=True)
+    # One nonzero singular value; rows 2..n of U^T pair with zero rows of
+    # the singular-value matrix and span the complement of e.
+    # C layout keeps matrix products bit-reproducible after serialization
+    # round trips (BLAS kernels vary with strides).
+    rows = np.ascontiguousarray(u[:, 1:].T)
+    rows.setflags(write=False)
+    return rows
+
+
+def rank_condition(M, e) -> bool:
+    """True when appending ``e`` as a column raises the numerical rank of M.
+
+    Equivalently: ``e`` does not lie in the column space of ``M``, which is
+    what makes a residual usable as the anchor of a crafted norm.  Ranks are
+    ``np.linalg.matrix_rank``'s: singular values above max(rows, cols) * eps
+    times the largest one count.
+    """
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    e = np.asarray(e, dtype=float).reshape(-1)
+    if e.size != M.shape[0]:
+        raise DimensionMismatch(
+            f"vector has {e.size} entries but the matrix has {M.shape[0]} rows"
+        )
+    augmented = np.column_stack([M, e])
+    return bool(np.linalg.matrix_rank(augmented) != np.linalg.matrix_rank(M))
 
 
 def require_seed(seed) -> int:
@@ -100,17 +161,25 @@ class CraftedNorm:
 
     def validate(self, e) -> None:
         """Check the construction invariants against anchor ``e``, raising InvalidArguments."""
-        e = np.asarray(e, dtype=float).reshape(-1)
-        e_norm = float(np.linalg.norm(e))
         if abs(float(np.abs(self.w1).sum()) - 1.0) > 1e-9:
             raise InvalidArguments("w1 must have unit 1-norm")
-        if abs(float(e @ self.w1)) <= W1_ALIGNMENT_RTOL * e_norm:
-            raise InvalidArguments("w1 is orthogonal to the anchoring residual")
-        b_w1 = _inner_norm(self.inner_variant, self.b_rows @ self.w1)
-        if b_w1 <= W1_COMPLEMENT_TOL:
-            raise InvalidArguments("w1 lies inside the span of the residual")
+        b_w1 = _b_of_w1(e, self.b_rows, self.w1, self.inner_variant)
         if not 0.0 < self.alpha <= b_w1 * (1.0 + 1e-9):
             raise InvalidArguments("alpha must sit in (0, b(w1)]")
+
+
+def _b_of_w1(e, b_rows: np.ndarray, w1: np.ndarray, variant: str) -> float:
+    """b(w1) in ``variant``'s inner norm; InvalidArguments if w1 cannot anchor a norm on ``e``.
+
+    The one test of w1: |e . w1| > 1e-8 ||e||_2 and b(w1) > 1e-8.
+    """
+    e = np.asarray(e, dtype=float).reshape(-1)
+    if abs(float(e @ w1)) <= W1_ALIGNMENT_RTOL * float(np.linalg.norm(e)):
+        raise InvalidArguments("w1 is orthogonal to the anchoring residual")
+    b_w1 = _inner_norm(variant, b_rows @ w1)
+    if b_w1 <= W1_COMPLEMENT_TOL:
+        raise InvalidArguments("w1 lies inside the span of the residual")
+    return b_w1
 
 
 def seminorm_b(norm: CraftedNorm, x) -> float:
@@ -121,41 +190,6 @@ def seminorm_b(norm: CraftedNorm, x) -> float:
     return _inner_norm(norm.inner_variant, norm.b_rows @ x)
 
 
-def pick_w1(e, B: np.ndarray, seed: Union[int, np.random.Generator]) -> np.ndarray:
-    """Draw the anchor direction w1 by rejection sampling.
-
-    Directions are sampled uniformly on the sphere and rescaled to unit
-    1-norm.  A candidate is accepted when it is neither orthogonal to ``e``
-    (|e . w1| > 1e-8 ||e||_2) nor inside the span of ``e`` (||B w1|| > 1e-8,
-    B being the (n-1, n) annihilator of ``e``).
-    Both rejection events have measure zero, so resampling terminates
-    immediately in practice; RejectionExhausted is raised after
-    ``W1_MAX_DRAWS`` rejected candidates.
-
-    ``seed`` is an int in [0, 2**64) or any generator exposing
-    ``standard_normal`` (handy for forcing candidates in tests); None, or
-    any other value, raises InvalidArguments instead of drawing OS entropy.
-    """
-    e = np.asarray(e, dtype=float).reshape(-1)
-    if e.size < 2:
-        raise DimensionTooSmall(f"need at least 2 components, got {e.size}")
-    if np.shape(B) != (e.size - 1, e.size):
-        raise DimensionMismatch("B was built for a different dimension")
-    rng = seed if hasattr(seed, "standard_normal") else np.random.default_rng(require_seed(seed))
-    e_norm = float(np.linalg.norm(e))
-    for _ in range(W1_MAX_DRAWS):
-        v = np.asarray(rng.standard_normal(e.size), dtype=float)
-        scale = float(np.abs(v).sum())
-        if scale <= 0.0 or not np.isfinite(scale):
-            continue
-        w = v / scale
-        aligned = abs(float(e @ w)) > W1_ALIGNMENT_RTOL * e_norm
-        off_span = float(np.linalg.norm(B @ w)) > W1_COMPLEMENT_TOL
-        if aligned and off_span:
-            return w
-    raise RejectionExhausted(f"no usable direction after {W1_MAX_DRAWS} draws")
-
-
 def make_crafted_norm(
     e,
     seed: Union[int, np.random.Generator],
@@ -163,15 +197,30 @@ def make_crafted_norm(
 ) -> CraftedNorm:
     """Build the full crafted norm anchored on residual ``e``.
 
-    Composes the nullspace projector, the w1 draw (``seed`` as in
-    ``pick_w1``), and alpha = b(w1) / 2, which keeps the |x . w1| term
-    strictly dominated by b away from the anchor direction.  The
-    ``DenialCertificate`` that holds the norm runs ``CraftedNorm.validate``.
+    B is ``nullspace_projector(e)``.  Directions uniform on the sphere,
+    rescaled to unit 1-norm, are drawn until one passes the w1 test that
+    ``CraftedNorm.validate`` makes; both rejections have measure zero, and
+    RejectionExhausted is raised after ``W1_MAX_DRAWS`` of them.  alpha =
+    b(w1) / 2 keeps the |x . w1| term strictly dominated by b away from e.
+
+    ``seed`` is an int in [0, 2**64) or any generator exposing
+    ``standard_normal`` (handy for forcing candidates in tests); None, or
+    any other value, raises InvalidArguments instead of drawing OS entropy.
     """
     B = nullspace_projector(e)
-    w1 = pick_w1(e, B, seed)
-    alpha = 0.5 * _inner_norm(inner_variant, B @ w1)
-    return CraftedNorm(b_rows=B, w1=w1, alpha=alpha, inner_variant=inner_variant)
+    rng = seed if hasattr(seed, "standard_normal") else np.random.default_rng(require_seed(seed))
+    for _ in range(W1_MAX_DRAWS):
+        v = np.asarray(rng.standard_normal(B.shape[1]), dtype=float)
+        scale = float(np.abs(v).sum())
+        if scale <= 0.0 or not np.isfinite(scale):
+            continue
+        w1 = v / scale
+        try:
+            b_w1 = _b_of_w1(e, B, w1, inner_variant)
+        except InvalidArguments:
+            continue
+        return CraftedNorm(b_rows=B, w1=w1, alpha=0.5 * b_w1, inner_variant=inner_variant)
+    raise RejectionExhausted(f"no usable direction after {W1_MAX_DRAWS} draws")
 
 
 def crafted_norm_value(norm: CraftedNorm, x) -> float:

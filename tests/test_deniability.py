@@ -649,6 +649,27 @@ class TestCertificateValues:
         with pytest.raises(InvalidArguments):
             dataclasses.replace(cert, residual=residual)
 
+    @pytest.mark.parametrize("edit", ["extra_decoy_row", "wider_model", "residual_as_a_number"])
+    def test_shapes_that_disagree_rejected(self, rng, tmp_path, capsys, edit):
+        # Each was built and written once; verify refused the first only at replay,
+        # and a residual of one number raised IndexError on load.
+        model, p_star, decoy = small_problem(rng)
+        cert = craft_denial(model, p_star, decoy, seed=1)
+        longer = Dataset(np.vstack([decoy.inputs, decoy.inputs[:1]]),
+                         np.vstack([decoy.responses, decoy.responses[:1]]))
+        wider = dict(cert.model_descriptor, input_dim=7, output_dim=2)
+        field, value, entry = {
+            "extra_decoy_row": ("decoy", longer, {"inputs": longer.inputs.tolist(),
+                                                  "responses": longer.responses.tolist()}),
+            "wider_model": ("model_descriptor", wider, wider),
+            "residual_as_a_number": ("residual", 5.0, 5.0),
+        }[edit]
+        with pytest.raises(DimensionMismatch, match="disagree"):
+            dataclasses.replace(cert, **{field: value})
+        payload = cert.to_dict()
+        payload[{"model_descriptor": "model"}.get(field, field)] = entry
+        TestCertificateLoading._refused_by_verify(payload, p_star, tmp_path, "disagree")
+
     def test_certificate_owns_its_decoy(self, rng):
         model, p_star, decoy = small_problem(rng)
         cert = craft_denial(model, p_star, decoy, seed=1)

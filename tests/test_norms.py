@@ -17,7 +17,6 @@ from deniable_fit import (
     make_crafted_norm,
     mae_transform,
     nullspace_projector,
-    pick_w1,
     LossSpec,
     seminorm_b,
 )
@@ -55,49 +54,41 @@ class TestWorkedExample:
 
 
 class TestPickW1:
+    """The rejection draw of w1 inside ``make_crafted_norm``."""
+
     def test_deterministic_under_seed(self):
         e = np.array([0.3, -1.2, 4.0])
-        B = nullspace_projector(e)
-        assert_allclose(pick_w1(e, B, seed=11), pick_w1(e, B, seed=11))
+        assert_allclose(make_crafted_norm(e, seed=11).w1, make_crafted_norm(e, seed=11).w1)
 
     def test_orthogonal_candidate_rejected_then_resampled(self):
-        e = np.array([1.0, 0.0])
-        B = nullspace_projector(e)
         forced = ForcedRng([[0.0, 1.0], [1.0, 1.0]])
-        w1 = pick_w1(e, B, seed=forced)
+        norm = make_crafted_norm([1.0, 0.0], seed=forced)
         assert forced.calls == 2
-        assert_allclose(w1, [0.5, 0.5])
+        assert_allclose(norm.w1, [0.5, 0.5])
 
     def test_exhaustion(self):
-        e = np.array([1.0, 0.0])
-        B = nullspace_projector(e)
         with pytest.raises(RejectionExhausted):
-            pick_w1(e, B, seed=ForcedRng([[0.0, 1.0]]))
+            make_crafted_norm([1.0, 0.0], seed=ForcedRng([[0.0, 1.0]]))
 
     @pytest.mark.parametrize("seed", [None, -1, 2 ** 64, 1.5, True, np.int64(7)])
     def test_seed_that_is_not_a_64_bit_int_rejected(self, seed):
         # None used to draw from OS entropy, so the norm could not be crafted again.
-        e = np.array([0.3, -1.2, 4.0])
         with pytest.raises(InvalidArguments, match="seed must be an integer"):
-            pick_w1(e, nullspace_projector(e), seed=seed)
-        with pytest.raises(InvalidArguments, match="seed must be an integer"):
-            make_crafted_norm(e, seed=seed)
+            make_crafted_norm(np.array([0.3, -1.2, 4.0]), seed=seed)
 
     def test_seed_is_required(self):
-        e = np.array([0.3, -1.2, 4.0])
         with pytest.raises(TypeError):
-            pick_w1(e, nullspace_projector(e))
-        with pytest.raises(TypeError):
-            make_crafted_norm(e)
+            make_crafted_norm(np.array([0.3, -1.2, 4.0]))
 
-    def test_unit_one_norm(self, rng):
+    @pytest.mark.parametrize("variant", [VARIANT_EUCLIDEAN, VARIANT_ONE_NORM])
+    def test_unit_one_norm(self, rng, variant):
         for _ in range(25):
             e = rng.normal(size=6)
-            B = nullspace_projector(e)
-            w1 = pick_w1(e, B, seed=int(rng.integers(0, 2**32)))
-            assert np.abs(w1).sum() == pytest.approx(1.0, abs=1e-12)
-            assert abs(e @ w1) > 1e-8 * np.linalg.norm(e)
-            assert np.linalg.norm(B @ w1) > 1e-8
+            norm = make_crafted_norm(e, seed=int(rng.integers(0, 2**32)), inner_variant=variant)
+            assert np.abs(norm.w1).sum() == pytest.approx(1.0, abs=1e-12)
+            assert abs(e @ norm.w1) > 1e-8 * np.linalg.norm(e)
+            assert seminorm_b(norm, norm.w1) > 1e-8
+            norm.validate(e)
 
 
 @pytest.mark.parametrize("variant", [VARIANT_EUCLIDEAN, VARIANT_ONE_NORM])

@@ -60,3 +60,10 @@ def assert_prints_what_it_shows(command, shown, capsys):
         expected = expected[:stripped.index("...")]
         printed = printed[:len(expected)]
     assert printed == expected
+
+
+def test_readme_layout_names_every_module():
+    layout = re.search(r"^## Layout\n+```\n(.*?)^```", TEXT, flags=re.M | re.S).group(1)
+    named = re.findall(r"^  (\w+\.py) ", layout, flags=re.M)
+    modules = [path.name for path in (README.parent / "src" / "deniable_fit").glob("*.py")]
+    assert sorted(named) == sorted(set(modules) - {"__init__.py"})
