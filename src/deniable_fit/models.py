@@ -147,7 +147,9 @@ class ParamModel:
     ``affine=True`` declares f(X, p) = f(X, 0) + J(X) p, with J the
     analytic Jacobian, which such a model must carry (InvalidArguments
     otherwise).  ``fit`` then solves the two-norm loss in one step
-    instead of searching.  The declaration is trusted, not checked.
+    instead of searching, and searches the crafted loss over the image
+    of r(0) - J p, evaluating the model once, at p = 0.  The declaration
+    is trusted, not checked.
     """
 
     param_dim: int

@@ -106,12 +106,20 @@ def require_seed(seed) -> int:
     return seed
 
 
-def _inner_norm(variant: str, v: np.ndarray) -> float:
+def _euclidean_norm(v: np.ndarray) -> float:
+    # What np.linalg.norm computes for a 1-D float vector, minus its overhead.
+    return math.sqrt(float(v @ v))
+
+
+def _one_norm(v: np.ndarray) -> float:
+    # The reduction that ndarray.sum runs, minus its Python-level wrapper.
+    return float(np.add.reduce(np.abs(v)))
+
+
+def _inner_norm(variant: str) -> Callable[[np.ndarray], float]:
+    """The norm that ``variant`` applies to B x."""
     # Any variant but euclidean reads as one_norm; CraftedNorm refuses unknown ones.
-    if variant == VARIANT_EUCLIDEAN:
-        # What np.linalg.norm computes for a 1-D float vector, minus its overhead.
-        return math.sqrt(float(v @ v))
-    return float(np.abs(v).sum())
+    return _euclidean_norm if variant == VARIANT_EUCLIDEAN else _one_norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,7 +184,7 @@ def _b_of_w1(e, b_rows: np.ndarray, w1: np.ndarray, variant: str) -> float:
     e = np.asarray(e, dtype=float).reshape(-1)
     if abs(float(e @ w1)) <= W1_ALIGNMENT_RTOL * float(np.linalg.norm(e)):
         raise InvalidArguments("w1 is orthogonal to the anchoring residual")
-    b_w1 = _inner_norm(variant, b_rows @ w1)
+    b_w1 = _inner_norm(variant)(b_rows @ w1)
     if b_w1 <= W1_COMPLEMENT_TOL:
         raise InvalidArguments("w1 lies inside the span of the residual")
     return b_w1
@@ -187,7 +195,7 @@ def seminorm_b(norm: CraftedNorm, x) -> float:
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != norm.dim:
         raise DimensionMismatch(f"expected {norm.dim} entries, got {x.size}")
-    return _inner_norm(norm.inner_variant, norm.b_rows @ x)
+    return _inner_norm(norm.inner_variant)(norm.b_rows @ x)
 
 
 def make_crafted_norm(
@@ -244,30 +252,72 @@ def mae_transform(norm: CraftedNorm) -> np.ndarray:
     return np.vstack([1.5 * norm.b_rows, 0.5 * norm.alpha * norm.w1[None, :]])
 
 
+def _crafted_value(inner: Callable[[np.ndarray], float], half_alpha: float,
+                   b_image: np.ndarray, w_image) -> float:
+    """(3/2) inner(B x) + (alpha/2) |x . w1| from the image of x: B x, then x . w1.
+
+    The one statement of the crafted formula; both kernels below reduce with it.
+    """
+    return 1.5 * inner(b_image) + half_alpha * abs(float(w_image))
+
+
+def image_map(norm: CraftedNorm) -> np.ndarray:
+    """The (n, n) matrix [B; w1^T]: its image of x is B x followed by x . w1."""
+    return np.vstack((norm.b_rows, norm.w1))
+
+
+def crafted_image_kernel(norms: Sequence[CraftedNorm]) -> Callable[[np.ndarray], float]:
+    """The crafted loss of k residual columns, read from their stacked images.
+
+    The argument v holds k blocks of n entries, block j the image of
+    residual column j under norm j's ``image_map``: B_j x, then x . w1_j.
+    Its value is the sum over j of (3/2) inner_j(B_j x) + (alpha_j/2)
+    |x . w1_j|.  ``fit`` on a model declared affine forms v from a
+    precomputed product of the image maps with the Jacobian and reduces it
+    here.  The returned function checks nothing.
+    """
+    columns = []
+    for j, nm in enumerate(norms):
+        last = (j + 1) * nm.dim - 1
+        columns.append((slice(j * nm.dim, last), last, _inner_norm(nm.inner_variant), 0.5 * nm.alpha))
+
+    def value(v: np.ndarray) -> float:
+        # A plain loop: a generator sum costs more than the one-block work at k=1.
+        total = 0.0
+        for b_block, w_entry, inner, half_alpha in columns:
+            total += _crafted_value(inner, half_alpha, v[b_block], v[w_entry])
+        return total
+
+    return value
+
+
 def crafted_matrix_kernel(
     norms: Sequence[CraftedNorm], n: int, k: int
 ) -> Callable[[np.ndarray], float]:
     """The map E -> sum over columns j of (3/2) b_j(E[:, j]) + (alpha_j/2) |E[:, j] . w1_j|.
 
-    The one evaluation of crafted norms: the crafted loss of a fit and
-    ``crafted_norm_value`` (one column) both run it.  The norms are checked
-    against the (n, k) shape here, once; the returned function takes a 2-D
-    float array of that shape and checks nothing.
+    The crafted loss of residual matrices: ``crafted_norm_value`` (one
+    column) and every fit under a crafted loss, except one on a model
+    declared affine (see ``crafted_image_kernel``), run it.  The norms are
+    checked against the (n, k) shape here, once; the returned function
+    takes a 2-D float array of that shape and checks nothing.  Each column
+    x is mapped by two products, B x and x . w1, not by one with the
+    stacked ``image_map``: the single product rounds differently.
     """
     if len(norms) != k:
         raise LengthMismatch(f"{len(norms)} norms supplied for {k} residual columns")
     for nm in norms:
         if nm.dim != n:
             raise DimensionMismatch(f"crafted norm is anchored on {nm.dim} samples, got {n}")
-    columns = [(j, nm.inner_variant, nm.b_rows, nm.w1, 0.5 * nm.alpha)
+    columns = [(j, _inner_norm(nm.inner_variant), nm.b_rows, nm.w1, 0.5 * nm.alpha)
                for j, nm in enumerate(norms)]
 
     def value(E: np.ndarray) -> float:
         # A plain loop: a generator sum costs more than the one-column work at k=1.
         total = 0.0
-        for j, variant, rows, w1, half_alpha in columns:
+        for j, inner, rows, w1, half_alpha in columns:
             x = E[:, j]
-            total += 1.5 * _inner_norm(variant, rows @ x) + half_alpha * abs(float(x @ w1))
+            total += _crafted_value(inner, half_alpha, rows @ x, x @ w1)
         return total
 
     return value

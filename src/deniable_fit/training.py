@@ -4,8 +4,10 @@ The crafted losses have kinks (absolute values, norms of projections), so
 the optimizer must not rely on gradients.  A plain Nelder-Mead simplex with
 the standard coefficients (reflect 1, expand 2, contract 0.5, shrink 0.5)
 handles them and is bit-for-bit deterministic for a fixed configuration.
-The honest two-norm loss on a model declared affine needs no search:
-``fit`` solves it in one step.
+On a model declared affine, ``fit`` solves the honest two-norm loss in
+one step, and searches the crafted loss over a precomputed image of the
+residuals, one (n k) x d product per evaluation; on any other model every
+evaluation runs the model and the loss's reducer.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .errors import (
 from .models import Dataset, ParamModel, bind_residuals, jacobian_blocks
 # Not called here; perfbench/tracing.py wraps training.residuals by that name.
 from .models import residuals  # noqa: F401
-from .norms import CraftedNorm, crafted_matrix_kernel
+from .norms import CraftedNorm, crafted_image_kernel, crafted_matrix_kernel, image_map
 
 LOSS_TWO_NORM = "two_norm"
 LOSS_CRAFTED_MATRIX = "crafted_matrix"
@@ -229,18 +231,27 @@ def minimize(objective: Callable[[np.ndarray], float], config: OptimizerConfig) 
 def fit(model: ParamModel, data: Dataset, loss: LossSpec, config: OptimizerConfig) -> FittedModel:
     """Minimize ``loss`` over the model's residuals on ``data``.
 
-    The model, the data and the loss are checked once, before the descent;
-    each objective evaluation then runs only the model and the reducer.
+    The model, the data and the loss are checked once, before the search
+    or the step.  Which path runs depends on ``model.affine`` and the loss:
 
-    A model declared ``affine`` under the ``two_norm`` loss is solved, not
-    searched: with r0 the residual at ``config.start`` and J the analytic
-    Jacobian there, reshaped to (n k, d), the result is
-    ``start + lstsq(J, r0)``, the least-squares solution nearest the start
-    (for start 0, exactly ``np.linalg.lstsq`` of the design matrix).  Its
-    ``FittedModel`` reports 0 iterations, ``converged`` and 2 evaluations
-    (the residuals at the start and at the solution).  Every other fit runs
-    ``minimize``.  Both raise NonFiniteObjective when the loss at the start
-    point is NaN or infinite.
+    - affine, ``two_norm``: solved, not searched.  With r0 the residual at
+      ``config.start`` and J the analytic Jacobian there, reshaped to
+      (n k, d), the result is ``start + lstsq(J, r0)``, the least-squares
+      solution nearest the start (for start 0, exactly ``np.linalg.lstsq``
+      of the design matrix).  Its ``FittedModel`` reports 0 iterations,
+      ``converged`` and 2 evaluations (the residuals at the start and at
+      the solution).
+    - affine, ``crafted_matrix``: ``minimize`` searches a precomputed
+      image.  The residual of column j is r_j(p) = r_j(0) - J_j p, so its
+      image under S_j = ``image_map(norm_j)`` is c_j - G_j p, where
+      G_j = S_j J_j (J taken at the start) and c_j = S_j r_j(0) are built
+      once.  Each evaluation is then one (n k) x d product, reduced by
+      ``crafted_image_kernel``; the model's evaluator runs once, at 0.
+    - any other model: ``minimize`` evaluates the model and the loss's
+      reducer at every point.
+
+    All raise NonFiniteObjective when the loss at the start point is NaN
+    or infinite.
     """
     if config.start.size != model.param_dim:
         raise DimensionMismatch(
@@ -248,18 +259,30 @@ def fit(model: ParamModel, data: Dataset, loss: LossSpec, config: OptimizerConfi
         )
     reduce = loss.bind((data.n, data.output_dim))
     residuals_at = bind_residuals(model, data)
-    if model.affine and loss.kind == LOSS_TWO_NORM:
-        start = config.start
+    if not model.affine:
+        def objective(p: np.ndarray) -> float:
+            return reduce(residuals_at(p))
+
+        return minimize(objective, config)
+
+    start = config.start
+    J = jacobian_blocks(model, data.inputs, start)
+    if loss.kind == LOSS_TWO_NORM:
         r0 = residuals_at(start)
         f0 = reduce(r0)
         if not math.isfinite(f0):
             raise NonFiniteObjective(f"objective is {f0} at the start point")
-        J = jacobian_blocks(model, data.inputs, start).reshape(-1, start.size)
-        params = start + np.linalg.lstsq(J, r0.reshape(-1), rcond=None)[0]
+        params = start + np.linalg.lstsq(J.reshape(-1, start.size), r0.reshape(-1), rcond=None)[0]
         return FittedModel(params, reduce(residuals_at(params)), iterations=0,
                            converged=True, evaluations=2)
 
-    def objective(p: np.ndarray) -> float:
-        return reduce(residuals_at(p))
+    r_zero = residuals_at(np.zeros_like(start))
+    images = [image_map(nm) for nm in loss.norms]
+    G = np.vstack([S @ J[:, j, :] for j, S in enumerate(images)])
+    c = np.concatenate([S @ r_zero[:, j] for j, S in enumerate(images)])
+    reduce_image = crafted_image_kernel(loss.norms)
 
-    return minimize(objective, config)
+    def image_objective(p: np.ndarray) -> float:
+        return reduce_image(c - G @ p)
+
+    return minimize(image_objective, config)

@@ -305,33 +305,140 @@ class TestMatchesReferenceLoop:
 
     @pytest.mark.parametrize("kind", ["two_norm", "crafted", "crafted_matrix"])
     def test_fit_bitwise(self, kind, monkeypatch):
+        # Declared affine, a model is solved (two-norm) or searched over a
+        # precomputed image (crafted): the same evaluator undeclared keeps the
+        # residual path covered.
         monkeypatch.setattr(training, "MAX_ITERS", 5000)
         for seed in range(3):
-            rng = np.random.default_rng(seed)
-            if kind == "crafted_matrix":
-                model = two_output_linear_model(3)
-                data = Dataset(rng.integers(1, 9, size=(9, 3)).astype(float),
-                               rng.integers(1, 9, size=(9, 2)).astype(float))
-                E = residuals(model, data, rng.uniform(-3.0, 3.0, size=4))
-                loss = LossSpec.crafted_matrix(
-                    [make_crafted_norm(E[:, j], seed=j,
-                                       inner_variant=("euclidean", "one_norm")[seed % 2])
-                     for j in range(2)]
-                )
-            elif kind == "crafted":   # crafted_matrix with one norm
-                model, data, loss, _ = _crafted_problem(seed, 6, ("euclidean", "one_norm")[seed % 2])
-            else:
-                # Declared affine, the two-norm fit is solved, not searched: the
-                # same evaluator undeclared keeps the Nelder-Mead path covered.
-                model = dataclasses.replace(linear_regression_model(3), affine=False)
-                data = Dataset(rng.normal(size=(12, 3)), rng.normal(size=(12, 1)))
-                loss = LossSpec(kind)
+            model, data, loss = _fit_problem(kind, seed)
+            model = dataclasses.replace(model, affine=False)
             config = OptimizerConfig(start=np.zeros(model.param_dim))
             reference = reference_minimize(
                 lambda p: reference_loss(loss, data.responses - model.predict_all(data.inputs, p)),
                 config,
             )
             assert_same_fit(fit(model, data, loss, config), reference)
+
+    @pytest.mark.parametrize("kind", ["crafted", "crafted_matrix"])
+    def test_affine_crafted_fit_bitwise(self, kind, monkeypatch):
+        monkeypatch.setattr(training, "MAX_ITERS", 5000)
+        for seed in range(3):
+            model, data, loss = _fit_problem(kind, seed)
+            assert model.affine
+            config = OptimizerConfig(
+                start=np.random.default_rng(seed).uniform(-3.0, 3.0, size=model.param_dim))
+            objective = _reference_image_objective(model, data, loss.norms, config.start)
+            assert_same_fit(fit(model, data, loss, config), reference_minimize(objective, config))
+
+
+def _fit_problem(kind, seed):
+    """A model, data and loss of the named kind; the model is declared affine."""
+    rng = np.random.default_rng(seed)
+    if kind == "crafted_matrix":
+        model = two_output_linear_model(3)
+        data = Dataset(rng.integers(1, 9, size=(9, 3)).astype(float),
+                       rng.integers(1, 9, size=(9, 2)).astype(float))
+        E = residuals(model, data, rng.uniform(-3.0, 3.0, size=4))
+        loss = LossSpec.crafted_matrix(
+            [make_crafted_norm(E[:, j], seed=j, inner_variant=("euclidean", "one_norm")[seed % 2])
+             for j in range(2)]
+        )
+        return model, data, loss
+    if kind == "crafted":   # crafted_matrix with one norm
+        model, data, loss, _ = _crafted_problem(seed, 6, ("euclidean", "one_norm")[seed % 2])
+        return model, data, loss
+    data = Dataset(rng.normal(size=(12, 3)), rng.normal(size=(12, 1)))
+    return linear_regression_model(3), data, LossSpec(kind)
+
+
+def _reference_image_objective(model, data, norms, start):
+    """The crafted loss of an affine model as a function of its stacked image, built apart from fit.
+
+    Row j of the image is S_j r_j(p) = S_j r_j(0) - S_j J_j p, with S_j = [B_j; w1_j^T].
+    """
+    J = model.analytic_jacobian(data.inputs, start)
+    r_zero = data.responses - model.predict_all(data.inputs, np.zeros_like(start))
+    images = [np.vstack([nm.b_rows, nm.w1[None, :]]) for nm in norms]
+    G = np.vstack([S @ J[:, j, :] for j, S in enumerate(images)])
+    c = np.concatenate([S @ r_zero[:, j] for j, S in enumerate(images)])
+
+    def objective(p):
+        V = (c - G @ p).reshape(len(norms), data.n)
+        total = 0.0
+        for nm, v in zip(norms, V):
+            b = v[:-1]
+            b_part = math.sqrt(float(b @ b)) if nm.inner_variant == "euclidean" else float(np.abs(b).sum())
+            total += 1.5 * b_part + 0.5 * nm.alpha * abs(float(v[-1]))
+        return total
+
+    return objective
+
+
+def _objective_of_fit(model, data, loss, start):
+    """The objective that ``fit`` hands to ``minimize``, captured without a search."""
+    captured = []
+
+    def capture(objective, config):
+        captured.append(objective)
+        return FittedModel(params=config.start, final_loss=0.0, iterations=0, converged=True)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(training, "minimize", capture)
+        fit(model, data, loss, OptimizerConfig(start=start))
+    return captured[0]
+
+
+def _anchored_problem(outputs, n, variant, seed):
+    """An affine model, integer decoy data of n records and norms anchored at a p* in [-6, 6]^4."""
+    rng = np.random.default_rng(seed)
+    model = linear_regression_model(3) if outputs == 1 else two_output_linear_model(3)
+    data = Dataset(rng.integers(1, 9, size=(n, 3)).astype(float),
+                   rng.integers(1, 9, size=(n, outputs)).astype(float))
+    p_star = rng.uniform(-6.0, 6.0, size=4)
+    E = residuals(model, data, p_star)
+    norms = [make_crafted_norm(E[:, j], seed=seed + j, inner_variant=variant) for j in range(outputs)]
+    return model, data, LossSpec.crafted_matrix(norms), p_star, rng
+
+
+class TestAffineCraftedImage:
+    @pytest.mark.parametrize("n", [5, 10, 40, 320])
+    @pytest.mark.parametrize("outputs", [1, 2])
+    @pytest.mark.parametrize("variant", ["euclidean", "one_norm"])
+    def test_agrees_with_the_residual_path(self, variant, outputs, n):
+        model, data, loss, p_star, rng = _anchored_problem(outputs, n, variant, seed=n + outputs)
+        start = p_star + 1e-2 * rng.standard_normal(4)
+        objective = _objective_of_fit(model, data, loss, start)
+        # Near p* the B part cancels: within 1e-4 of it at n=320, both paths
+        # sit about 1e-12 (relative) from an extended-precision value.
+        for scale in (1e-3, 1e-2, 1.0, 10.0):
+            for _ in range(3):
+                p = p_star + scale * rng.standard_normal(4)
+                expected = loss.evaluate(residuals(model, data, p))
+                assert objective(p) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("outputs", [1, 2])
+    @pytest.mark.parametrize("variant", ["euclidean", "one_norm"])
+    def test_fit_calls_the_evaluator_at_most_twice(self, variant, outputs):
+        model, data, loss, p_star, rng = _anchored_problem(outputs, 12, variant, seed=outputs)
+        inner = model.evaluator
+        calls = 0
+
+        def counting(X, p):
+            nonlocal calls
+            calls += 1
+            return inner(X, p)
+
+        model.evaluator = counting
+        result = fit(model, data, loss, OptimizerConfig(start=p_star + rng.standard_normal(4)))
+        assert calls <= 2
+        assert result.evaluations > 100
+
+    def test_non_finite_objective_at_start(self, rng):
+        model = linear_regression_model(2)
+        data = Dataset(np.ones((4, 2)), np.array([[1.0], [np.inf], [2.0], [3.0]]))
+        loss = LossSpec.crafted_matrix([make_crafted_norm(rng.normal(size=4), seed=0)])
+        with pytest.raises(NonFiniteObjective):
+            fit(model, data, loss, OptimizerConfig(start=np.zeros(3)))
 
 
 def _lstsq_step(model, data, start):
