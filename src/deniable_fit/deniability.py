@@ -97,7 +97,10 @@ class DiscreteUniform:
     hi: int
 
     def __post_init__(self):
-        _require_finite(self, self.lo, self.hi)
+        # parse reads integers; a float or bool bound would not match the samples.
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                   for v in (self.lo, self.hi)):
+            raise InvalidArguments(f"{self!r} needs integer bounds")
         if self.hi < self.lo:
             raise NonPositiveSupport(f"empty integer range {self.lo}..{self.hi}")
 

@@ -65,8 +65,14 @@ class Dataset:
         """Write header x1..xm,y1..yk and one row per sample.
 
         Floats are emitted as shortest round-trip decimals, so a write/read
-        cycle reproduces the arrays exactly.
+        cycle reproduces the arrays exactly.  A dataset that ``from_csv``
+        would refuse, one without input or response columns or one holding
+        NaN or infinity, raises InvalidArguments before the file is opened.
         """
+        if self.input_dim == 0 or self.output_dim == 0:
+            raise InvalidArguments(f"{path}: a dataset needs input and response columns to be written")
+        if not (np.isfinite(self.inputs).all() and np.isfinite(self.responses).all()):
+            raise InvalidArguments(f"{path}: a dataset holding NaN or infinity cannot be written")
         header = [f"x{i + 1}" for i in range(self.input_dim)]
         header += [f"y{j + 1}" for j in range(self.output_dim)]
         with open(path, "w", newline="") as fh:
@@ -147,9 +153,10 @@ class ParamModel:
     ``affine=True`` declares f(X, p) = f(X, 0) + J(X) p, with J the
     analytic Jacobian, which such a model must carry (InvalidArguments
     otherwise).  ``fit`` then solves the two-norm loss in one step
-    instead of searching, and searches the crafted loss over the image
-    of r(0) - J p, evaluating the model once, at p = 0.  The declaration
-    is trusted, not checked.
+    instead of searching, and searches the crafted loss over
+    image(r(0)) - image(J) p, with ``norms.crafted_image``'s linear image,
+    evaluating the model once, at p = 0.  The declaration is trusted, not
+    checked.
     """
 
     param_dim: int

@@ -7,15 +7,18 @@ random direction w1 that sees the residual, and combine
 
 The result is a genuine norm whose unit ball is stretched so that the
 chosen residual is the cheapest way to be wrong, which is what lets decoy
-training data reproduce a predetermined model.  The module also holds the
-read-only projector B behind b and the rank test for anchoring residuals.
+training data reproduce a predetermined model.  ``crafted_image`` is the
+one place the value is computed: it maps x by the stacked matrix
+[B; w1^T] in one product and reduces the image, for every crafted loss
+the package evaluates.  The module also holds the read-only projector B
+behind b and the rank test for anchoring residuals.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -231,12 +234,57 @@ def make_crafted_norm(
     raise RejectionExhausted(f"no usable direction after {W1_MAX_DRAWS} draws")
 
 
+def crafted_image(
+    norms: Sequence[CraftedNorm], n: int, k: int
+) -> Tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], float]]:
+    """The crafted loss of k residual columns of n entries: a linear image and its reduction.
+
+    Column j is mapped by S_j = [B_j; w1_j^T], norm j's B over its w1, so
+    its image is B_j x followed by x . w1_j.  ``image(A)`` maps column j of
+    an (n, k) residual matrix, or of an (n, k, d) Jacobian, by S_j in one
+    product and stacks the k blocks of n rows.  ``reduce(v)`` reads such a
+    stack: the sum over j of (3/2) inner_j(B_j x) + (alpha_j/2) |x . w1_j|.
+    Every crafted evaluation is ``reduce(image(E))``; since the image is
+    linear, ``fit`` reduces image(r(0)) - image(J) p on a model declared
+    affine.
+
+    The norms are checked against (n, k) here, once; the returned
+    functions take float arrays of those shapes and check nothing.
+    """
+    if len(norms) != k:
+        raise LengthMismatch(f"{len(norms)} norms supplied for {k} residual columns")
+    for nm in norms:
+        if nm.dim != n:
+            raise DimensionMismatch(f"crafted norm is anchored on {nm.dim} samples, got {n}")
+    maps = [np.vstack((nm.b_rows, nm.w1)) for nm in norms]
+    blocks = [(slice(j * n, (j + 1) * n - 1), (j + 1) * n - 1,
+               _inner_norm(nm.inner_variant), 0.5 * nm.alpha) for j, nm in enumerate(norms)]
+
+    if k == 1:
+        # The residual path's common case: one product, no concatenate.
+        S = maps[0]
+
+        def image(A: np.ndarray) -> np.ndarray:
+            return S @ A[:, 0]
+    else:
+        def image(A: np.ndarray) -> np.ndarray:
+            return np.concatenate([S @ A[:, j] for j, S in enumerate(maps)])
+
+    def reduce(v: np.ndarray) -> float:
+        # A plain loop: a generator sum costs more than the one-block work at k=1.
+        total = 0.0
+        for b_block, w_entry, inner, half_alpha in blocks:
+            total += 1.5 * inner(v[b_block]) + half_alpha * abs(float(v[w_entry]))
+        return total
+
+    return image, reduce
+
+
 def crafted_norm_value(norm: CraftedNorm, x) -> float:
-    """Evaluate (3/2) b(x) + (alpha/2) |x . w1|."""
+    """Evaluate (3/2) b(x) + (alpha/2) |x . w1|, as ``crafted_image`` reduces it."""
     x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != norm.dim:
-        raise DimensionMismatch(f"expected {norm.dim} entries, got {x.size}")
-    return crafted_matrix_kernel((norm,), x.size, 1)(x[:, None])
+    image, reduce = crafted_image((norm,), x.size, 1)
+    return reduce(image(x[:, None]))
 
 
 def mae_transform(norm: CraftedNorm) -> np.ndarray:
@@ -250,74 +298,3 @@ def mae_transform(norm: CraftedNorm) -> np.ndarray:
     if norm.inner_variant != VARIANT_ONE_NORM:
         raise VariantMismatch("MAE reduction needs the one-norm inner variant")
     return np.vstack([1.5 * norm.b_rows, 0.5 * norm.alpha * norm.w1[None, :]])
-
-
-def _crafted_value(inner: Callable[[np.ndarray], float], half_alpha: float,
-                   b_image: np.ndarray, w_image) -> float:
-    """(3/2) inner(B x) + (alpha/2) |x . w1| from the image of x: B x, then x . w1.
-
-    The one statement of the crafted formula; both kernels below reduce with it.
-    """
-    return 1.5 * inner(b_image) + half_alpha * abs(float(w_image))
-
-
-def image_map(norm: CraftedNorm) -> np.ndarray:
-    """The (n, n) matrix [B; w1^T]: its image of x is B x followed by x . w1."""
-    return np.vstack((norm.b_rows, norm.w1))
-
-
-def crafted_image_kernel(norms: Sequence[CraftedNorm]) -> Callable[[np.ndarray], float]:
-    """The crafted loss of k residual columns, read from their stacked images.
-
-    The argument v holds k blocks of n entries, block j the image of
-    residual column j under norm j's ``image_map``: B_j x, then x . w1_j.
-    Its value is the sum over j of (3/2) inner_j(B_j x) + (alpha_j/2)
-    |x . w1_j|.  ``fit`` on a model declared affine forms v from a
-    precomputed product of the image maps with the Jacobian and reduces it
-    here.  The returned function checks nothing.
-    """
-    columns = []
-    for j, nm in enumerate(norms):
-        last = (j + 1) * nm.dim - 1
-        columns.append((slice(j * nm.dim, last), last, _inner_norm(nm.inner_variant), 0.5 * nm.alpha))
-
-    def value(v: np.ndarray) -> float:
-        # A plain loop: a generator sum costs more than the one-block work at k=1.
-        total = 0.0
-        for b_block, w_entry, inner, half_alpha in columns:
-            total += _crafted_value(inner, half_alpha, v[b_block], v[w_entry])
-        return total
-
-    return value
-
-
-def crafted_matrix_kernel(
-    norms: Sequence[CraftedNorm], n: int, k: int
-) -> Callable[[np.ndarray], float]:
-    """The map E -> sum over columns j of (3/2) b_j(E[:, j]) + (alpha_j/2) |E[:, j] . w1_j|.
-
-    The crafted loss of residual matrices: ``crafted_norm_value`` (one
-    column) and every fit under a crafted loss, except one on a model
-    declared affine (see ``crafted_image_kernel``), run it.  The norms are
-    checked against the (n, k) shape here, once; the returned function
-    takes a 2-D float array of that shape and checks nothing.  Each column
-    x is mapped by two products, B x and x . w1, not by one with the
-    stacked ``image_map``: the single product rounds differently.
-    """
-    if len(norms) != k:
-        raise LengthMismatch(f"{len(norms)} norms supplied for {k} residual columns")
-    for nm in norms:
-        if nm.dim != n:
-            raise DimensionMismatch(f"crafted norm is anchored on {nm.dim} samples, got {n}")
-    columns = [(j, _inner_norm(nm.inner_variant), nm.b_rows, nm.w1, 0.5 * nm.alpha)
-               for j, nm in enumerate(norms)]
-
-    def value(E: np.ndarray) -> float:
-        # A plain loop: a generator sum costs more than the one-column work at k=1.
-        total = 0.0
-        for j, inner, rows, w1, half_alpha in columns:
-            x = E[:, j]
-            total += _crafted_value(inner, half_alpha, rows @ x, x @ w1)
-        return total
-
-    return value

@@ -4,10 +4,11 @@ The crafted losses have kinks (absolute values, norms of projections), so
 the optimizer must not rely on gradients.  A plain Nelder-Mead simplex with
 the standard coefficients (reflect 1, expand 2, contract 0.5, shrink 0.5)
 handles them and is bit-for-bit deterministic for a fixed configuration.
-On a model declared affine, ``fit`` solves the honest two-norm loss in
-one step, and searches the crafted loss over a precomputed image of the
-residuals, one (n k) x d product per evaluation; on any other model every
-evaluation runs the model and the loss's reducer.
+Every crafted evaluation reduces the image that ``norms.crafted_image``
+defines.  On a model declared affine, ``fit`` solves the honest two-norm
+loss in one step, and searches the crafted loss over a precomputed image,
+one (n k) x d product per evaluation; on any other model every evaluation
+runs the model, then the loss's reducer.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .errors import (
 from .models import Dataset, ParamModel, bind_residuals, jacobian_blocks
 # Not called here; perfbench/tracing.py wraps training.residuals by that name.
 from .models import residuals  # noqa: F401
-from .norms import CraftedNorm, crafted_image_kernel, crafted_matrix_kernel, image_map
+from .norms import CraftedNorm, _euclidean_norm, crafted_image
 
 LOSS_TWO_NORM = "two_norm"
 LOSS_CRAFTED_MATRIX = "crafted_matrix"
@@ -61,17 +62,24 @@ class LossSpec:
     def bind(self, shape: Tuple[int, ...]) -> Callable[[np.ndarray], float]:
         """The reducer of residual matrices of ``shape``, checked once.
 
-        Raises InvalidArguments for an unknown kind or a crafted kind
-        without norms, DimensionMismatch or LengthMismatch when the norms
-        do not fit an n x k matrix of that shape, and EmptyInput when the
-        two-norm gets no residuals.  The returned function checks nothing.
+        The crafted kind reduces ``crafted_image``'s image of E, the
+        two-norm kind the 2-norm of E flattened.  Raises InvalidArguments
+        for an unknown kind or a crafted kind without norms,
+        DimensionMismatch or LengthMismatch when the norms do not fit an
+        n x k matrix of that shape, and EmptyInput when the two-norm gets
+        no residuals.  The returned function checks nothing.
         """
         if self.kind == LOSS_CRAFTED_MATRIX:
             if not self.norms:
                 raise InvalidArguments("crafted_matrix loss needs one norm per column")
             if len(shape) != 2:
                 raise DimensionMismatch("residuals must form an n x k matrix")
-            return crafted_matrix_kernel(self.norms, *shape)
+            image, reduce = crafted_image(self.norms, *shape)
+
+            def value(E: np.ndarray) -> float:
+                return reduce(image(E))
+
+            return value
         if self.kind != LOSS_TWO_NORM:
             raise InvalidArguments(f"unknown loss kind {self.kind!r}")
         if 0 in shape:
@@ -86,9 +94,7 @@ class LossSpec:
 
 
 def _two_norm(E: np.ndarray) -> float:
-    flat = E.reshape(-1)
-    # What np.linalg.norm computes for a 1-D float vector, minus its overhead.
-    return math.sqrt(float(flat @ flat))
+    return _euclidean_norm(E.reshape(-1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,11 +248,13 @@ def fit(model: ParamModel, data: Dataset, loss: LossSpec, config: OptimizerConfi
       ``converged`` and 2 evaluations (the residuals at the start and at
       the solution).
     - affine, ``crafted_matrix``: ``minimize`` searches a precomputed
-      image.  The residual of column j is r_j(p) = r_j(0) - J_j p, so its
-      image under S_j = ``image_map(norm_j)`` is c_j - G_j p, where
-      G_j = S_j J_j (J taken at the start) and c_j = S_j r_j(0) are built
-      once.  Each evaluation is then one (n k) x d product, reduced by
-      ``crafted_image_kernel``; the model's evaluator runs once, at 0.
+      image.  The residuals are r(p) = r(0) - J p and ``crafted_image``'s
+      ``image`` is linear, so the image of r(p) is c - G p, with
+      G = image(J) (J taken at the start) and c = image(r(0)) built once.
+      Each evaluation is then one (n k) x d product, reduced by the same
+      ``reduce`` as on the residual path; the model's evaluator runs
+      once, at 0.  At p = 0 both paths reduce the same bits; elsewhere
+      they differ by rounding (about 1e-12 relative, see the README).
     - any other model: ``minimize`` evaluates the model and the loss's
       reducer at every point.
 
@@ -276,11 +284,8 @@ def fit(model: ParamModel, data: Dataset, loss: LossSpec, config: OptimizerConfi
         return FittedModel(params, reduce(residuals_at(params)), iterations=0,
                            converged=True, evaluations=2)
 
-    r_zero = residuals_at(np.zeros_like(start))
-    images = [image_map(nm) for nm in loss.norms]
-    G = np.vstack([S @ J[:, j, :] for j, S in enumerate(images)])
-    c = np.concatenate([S @ r_zero[:, j] for j, S in enumerate(images)])
-    reduce_image = crafted_image_kernel(loss.norms)
+    image, reduce_image = crafted_image(loss.norms, data.n, data.output_dim)
+    G, c = image(J), image(residuals_at(np.zeros_like(start)))
 
     def image_objective(p: np.ndarray) -> float:
         return reduce_image(c - G @ p)

@@ -108,6 +108,16 @@ class TestEntropy:
         with pytest.raises(InvalidArguments):
             make()
 
+    @pytest.mark.parametrize("lo, hi", [(1.5, 3), (1, 3.5), (1.0, 3), (True, 3), (0, True)])
+    def test_discrete_bounds_must_be_integers(self, lo, hi):
+        # DiscreteUniform(1.5, 3) samples 2..3 but would report log2(2.5) bits.
+        with pytest.raises(InvalidArguments):
+            DiscreteUniform(lo, hi)
+
+    def test_discrete_accepts_numpy_integers(self):
+        dist = DiscreteUniform(np.int64(1), np.int64(8))
+        assert dist.entropy(1.0) == 3.0
+
     def test_huge_integer_range_is_finite(self):
         spec = DistributionSpec((DiscreteUniform(0, 2 ** 1100 - 1),))
         assert entropy_per_record(spec) == pytest.approx(1100.0)

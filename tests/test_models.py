@@ -232,6 +232,25 @@ class TestDataset:
         data.to_csv(path)
         assert path.read_text().splitlines()[0] == "x1,x2,y1"
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["inputs", "responses"])
+    def test_non_finite_dataset_is_not_written(self, tmp_path, value, where):
+        # from_csv refuses such a file, so to_csv must not leave one behind.
+        X, Y = np.ones((3, 2)), np.ones((3, 1))
+        (X if where == "inputs" else Y)[1, 0] = value
+        path = tmp_path / "records.csv"
+        with pytest.raises(InvalidArguments):
+            Dataset(X, Y).to_csv(path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("inputs, responses", [((3, 0), (3, 1)), ((3, 2), (3, 0))],
+                             ids=["no-inputs", "no-responses"])
+    def test_dataset_without_columns_is_not_written(self, tmp_path, inputs, responses):
+        path = tmp_path / "records.csv"
+        with pytest.raises(InvalidArguments):
+            Dataset(np.ones(inputs), np.ones(responses)).to_csv(path)
+        assert not path.exists()
+
     def test_malformed_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,y1\n1,2,3\n")

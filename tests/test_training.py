@@ -124,13 +124,15 @@ def reference_minimize(objective, config):
 
 
 def _reference_crafted_norm_value(norm, x):
+    # One product with the stacked map [B; w1^T]: B x, then x . w1.
     x = np.asarray(x, dtype=float).reshape(-1)
-    v = norm.b_rows @ x
+    v = np.vstack([norm.b_rows, norm.w1]) @ x
+    b = v[:-1]
     if norm.inner_variant == "euclidean":
-        b_part = math.sqrt(float(v @ v))
+        b_part = math.sqrt(float(b @ b))
     else:
-        b_part = float(np.abs(v).sum())
-    return 1.5 * b_part + 0.5 * norm.alpha * abs(float(x @ norm.w1))
+        b_part = float(np.abs(b).sum())
+    return 1.5 * b_part + 0.5 * norm.alpha * abs(float(v[-1]))
 
 
 def reference_loss(loss, E):
@@ -415,6 +417,18 @@ class TestAffineCraftedImage:
                 p = p_star + scale * rng.standard_normal(4)
                 expected = loss.evaluate(residuals(model, data, p))
                 assert objective(p) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n", [5, 10, 40, 320])
+    @pytest.mark.parametrize("outputs", [1, 2])
+    @pytest.mark.parametrize("variant", ["euclidean", "one_norm"])
+    def test_one_image_layout_at_zero(self, variant, outputs, n):
+        # At p = 0 the search reduces image(r(0)), which is what the
+        # residual path reduces there: the two agree bit for bit.
+        for seed in range(5):
+            model, data, loss, p_star, _ = _anchored_problem(outputs, n, variant, seed)
+            objective = _objective_of_fit(model, data, loss, p_star)
+            zero = np.zeros(model.param_dim)
+            assert bits(objective(zero)) == bits(loss.evaluate(residuals(model, data, zero)))
 
     @pytest.mark.parametrize("outputs", [1, 2])
     @pytest.mark.parametrize("variant", ["euclidean", "one_norm"])
