@@ -260,15 +260,8 @@ def crafted_image(
     blocks = [(slice(j * n, (j + 1) * n - 1), (j + 1) * n - 1,
                _inner_norm(nm.inner_variant), 0.5 * nm.alpha) for j, nm in enumerate(norms)]
 
-    if k == 1:
-        # The residual path's common case: one product, no concatenate.
-        S = maps[0]
-
-        def image(A: np.ndarray) -> np.ndarray:
-            return S @ A[:, 0]
-    else:
-        def image(A: np.ndarray) -> np.ndarray:
-            return np.concatenate([S @ A[:, j] for j, S in enumerate(maps)])
+    def image(A: np.ndarray) -> np.ndarray:
+        return np.concatenate([S @ A[:, j] for j, S in enumerate(maps)])
 
     def reduce(v: np.ndarray) -> float:
         # A plain loop: a generator sum costs more than the one-block work at k=1.

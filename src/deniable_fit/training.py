@@ -59,22 +59,31 @@ class LossSpec:
     def crafted_matrix(cls, norms: Sequence[CraftedNorm]) -> "LossSpec":
         return cls(LOSS_CRAFTED_MATRIX, norms=tuple(norms))
 
+    def crafted_image(
+        self, shape: Tuple[int, ...]
+    ) -> Tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], float]]:
+        """``norms.crafted_image`` of this loss's norms for n x k residuals of ``shape``.
+
+        Raises InvalidArguments without norms, DimensionMismatch or
+        LengthMismatch when the norms do not fit an n x k shape.
+        """
+        if not self.norms:
+            raise InvalidArguments("crafted_matrix loss needs one norm per column")
+        if len(shape) != 2:
+            raise DimensionMismatch("residuals must form an n x k matrix")
+        return crafted_image(self.norms, *shape)
+
     def bind(self, shape: Tuple[int, ...]) -> Callable[[np.ndarray], float]:
         """The reducer of residual matrices of ``shape``, checked once.
 
         The crafted kind reduces ``crafted_image``'s image of E, the
         two-norm kind the 2-norm of E flattened.  Raises InvalidArguments
-        for an unknown kind or a crafted kind without norms,
-        DimensionMismatch or LengthMismatch when the norms do not fit an
-        n x k matrix of that shape, and EmptyInput when the two-norm gets
-        no residuals.  The returned function checks nothing.
+        for an unknown kind, the errors of ``crafted_image`` for the
+        crafted kind, and EmptyInput when the two-norm gets no residuals.
+        The returned function checks nothing.
         """
         if self.kind == LOSS_CRAFTED_MATRIX:
-            if not self.norms:
-                raise InvalidArguments("crafted_matrix loss needs one norm per column")
-            if len(shape) != 2:
-                raise DimensionMismatch("residuals must form an n x k matrix")
-            image, reduce = crafted_image(self.norms, *shape)
+            image, reduce = self.crafted_image(shape)
 
             def value(E: np.ndarray) -> float:
                 return reduce(image(E))
@@ -265,7 +274,20 @@ def fit(model: ParamModel, data: Dataset, loss: LossSpec, config: OptimizerConfi
         raise DimensionMismatch(
             f"start point has {config.start.size} coordinates, model expects {model.param_dim}"
         )
-    reduce = loss.bind((data.n, data.output_dim))
+    shape = (data.n, data.output_dim)
+    start = config.start
+    if model.affine and loss.kind == LOSS_CRAFTED_MATRIX:
+        image, reduce_image = loss.crafted_image(shape)
+        residuals_at = bind_residuals(model, data)
+        G = image(jacobian_blocks(model, data.inputs, start))
+        c = image(residuals_at(np.zeros_like(start)))
+
+        def image_objective(p: np.ndarray) -> float:
+            return reduce_image(c - G @ p)
+
+        return minimize(image_objective, config)
+
+    reduce = loss.bind(shape)
     residuals_at = bind_residuals(model, data)
     if not model.affine:
         def objective(p: np.ndarray) -> float:
@@ -273,21 +295,11 @@ def fit(model: ParamModel, data: Dataset, loss: LossSpec, config: OptimizerConfi
 
         return minimize(objective, config)
 
-    start = config.start
     J = jacobian_blocks(model, data.inputs, start)
-    if loss.kind == LOSS_TWO_NORM:
-        r0 = residuals_at(start)
-        f0 = reduce(r0)
-        if not math.isfinite(f0):
-            raise NonFiniteObjective(f"objective is {f0} at the start point")
-        params = start + np.linalg.lstsq(J.reshape(-1, start.size), r0.reshape(-1), rcond=None)[0]
-        return FittedModel(params, reduce(residuals_at(params)), iterations=0,
-                           converged=True, evaluations=2)
-
-    image, reduce_image = crafted_image(loss.norms, data.n, data.output_dim)
-    G, c = image(J), image(residuals_at(np.zeros_like(start)))
-
-    def image_objective(p: np.ndarray) -> float:
-        return reduce_image(c - G @ p)
-
-    return minimize(image_objective, config)
+    r0 = residuals_at(start)
+    f0 = reduce(r0)
+    if not math.isfinite(f0):
+        raise NonFiniteObjective(f"objective is {f0} at the start point")
+    params = start + np.linalg.lstsq(J.reshape(-1, start.size), r0.reshape(-1), rcond=None)[0]
+    return FittedModel(params, reduce(residuals_at(params)), iterations=0,
+                       converged=True, evaluations=2)
